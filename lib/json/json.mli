@@ -10,7 +10,8 @@
     back to the identical bit pattern — compared via
     [Int64.bits_of_float], so [-0.0] keeps its sign — falling back to
     [%.17g]; [of_string (to_string j)] therefore round-trips finite
-    values exactly.  Non-finite floats (NaN, [infinity],
+    values exactly.  Within one [to_string] call each distinct bit
+    pattern is rendered once and reused.  Non-finite floats (NaN, [infinity],
     [neg_infinity]) have no JSON representation and render as the
     [null] literal, so every emitted document stays valid JSON; they
     re-parse as {!Null}, which is the one lossy corner of the round
@@ -30,8 +31,10 @@ val to_string : ?pretty:bool -> t -> string
     spaces; compact otherwise.  Object member order is preserved. *)
 
 val of_string : string -> (t, string) result
-(** Parse JSON text.  Numbers without [.], [e] or [E] parse as {!Int},
-    all others as {!Float}.  The error string carries a character
+(** Parse JSON text.  Numbers must follow the JSON grammar (RFC 8259:
+    no [+1], [.5], [01] or [1.]) and a [\u] escape takes exactly four
+    hex digits.  Numbers without [.], [e] or [E] parse as {!Int}, all
+    others as {!Float}.  The error string carries a character
     offset. *)
 
 (** {1 Accessors} *)

@@ -25,7 +25,13 @@ let connect address =
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect fd addr with
-  | () -> Ok { fd; closed = false }
+  | () ->
+    (* requests go out as soon as they are written, not after the
+       server's delayed ACK *)
+    (if domain = Unix.PF_INET then
+       try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
+    Ok { fd; closed = false }
   | exception Unix.Unix_error (err, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error

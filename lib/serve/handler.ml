@@ -48,20 +48,15 @@ let req_string req k =
       (Guard.Error.validation
          (Printf.sprintf "request lacks a string %S member" k))
 
-let bits_of_string ~inputs k s =
-  if
-    String.length s = inputs
-    && String.for_all (fun c -> c = '0' || c = '1') s
-  then Ok (Array.init inputs (fun i -> s.[i] = '1'))
-  else
-    Error
-      (Guard.Error.validation
-         ~context:[ (k, s) ]
-         (Printf.sprintf "%s must be a %d-bit string of 0s and 1s" k inputs))
+let bits_error ~inputs k s =
+  Guard.Error.validation ~context:[ (k, s) ]
+    (Printf.sprintf "%s must be a %d-bit string of 0s and 1s" k inputs)
 
 let req_bits req ~inputs k =
   let* s = req_string req k in
-  bits_of_string ~inputs k s
+  if String.length s = inputs && String.for_all (fun c -> c = '0' || c = '1') s
+  then Ok (Array.init inputs (fun i -> s.[i] = '1'))
+  else Error (bits_error ~inputs k s)
 
 let string_of_bits v =
   String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
@@ -134,49 +129,53 @@ let eval_block = 4096
 
 let op_eval_batch t req check =
   let* entry = model t req in
-  let meta = entry.Cache.loaded.Store.meta in
-  let inputs = meta.Store.inputs in
-  let* pairs =
-    match Json.member "transitions" req with
-    | Some (Json.List l) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match item with
-          | Json.List [ Json.String a; Json.String b ] ->
-            let* x_i = bits_of_string ~inputs "x_i" a in
-            let* x_f = bits_of_string ~inputs "x_f" b in
-            Ok ((x_i, x_f) :: acc)
-          | _ ->
-            Error
-              (Guard.Error.validation
-                 "transitions must be a list of [x_i, x_f] bitstring pairs"))
-        (Ok []) l
-      |> Result.map List.rev
-    | _ ->
-      Error (Guard.Error.validation "request lacks a transitions list")
-  in
+  let inputs = entry.Cache.loaded.Store.meta.Store.inputs in
   let program =
     Powermodel.Model.compiled_program entry.Cache.loaded.Store.compiled
   in
-  let envs =
-    Array.of_list
-      (List.map (fun (x_i, x_f) -> Powermodel.Vars.env ~x_i ~x_f) pairs)
+  let stride = Dd.Compiled.vars program in
+  let* transitions =
+    match Json.member "transitions" req with
+    | Some (Json.List l) -> Ok l
+    | _ -> Error (Guard.Error.validation "request lacks a transitions list")
   in
-  let total = Array.length envs in
+  (* Every pair is checked, x_i first, before any block runs.  Byte 2j of
+     a slot is x_i[j], 2j+1 is x_f[j].  '0'/'1' are 0x30/0x31, so [c lor 1
+     = 0x31] checks a character and [c land 1] is its bit, branch-free. *)
+  let total = List.length transitions in
+  let packed = Bytes.create (total * stride) in
+  let put at k s =
+    let bad = ref (String.length s lxor inputs) in
+    if !bad = 0 then
+      for j = 0 to inputs - 1 do
+        let c = Char.code (String.unsafe_get s j) in
+        bad := !bad lor ((c lor 1) lxor 0x31);
+        Bytes.set packed (at + (2 * j)) (Char.unsafe_chr (c land 1))
+      done;
+    if !bad = 0 then Ok () else Error (bits_error ~inputs k s)
+  in
+  let rec fill at = function
+    | [] -> Ok ()
+    | Json.List [ Json.String a; Json.String b ] :: rest ->
+      let* () = put at "x_i" a in
+      let* () = put (at + 1) "x_f" b in
+      fill (at + stride) rest
+    | _ :: _ ->
+      Error
+        (Guard.Error.validation
+           "transitions must be a list of [x_i, x_f] bitstring pairs")
+  in
+  let* () = fill 0 transitions in
   let rec go i acc =
-    if i >= total then Ok (List.concat (List.rev acc))
+    if i >= total then Ok (Json.List (List.rev acc))
     else
       let* () = check () in
       let n = min eval_block (total - i) in
-      let packed = Dd.Compiled.pack program (Array.sub envs i n) in
-      let out =
-        Dd.Compiled.eval_batch ?jobs:t.jobs program ~inputs:packed ~n
-      in
-      go (i + n) (Array.to_list (Array.map (fun v -> Json.Float v) out) :: acc)
+      let block = Bytes.sub packed (i * stride) (n * stride) in
+      let out = Dd.Compiled.eval_batch ?jobs:t.jobs program ~inputs:block ~n in
+      go (i + n) (Array.fold_left (fun l v -> Json.Float v :: l) acc out)
   in
-  let* values = go 0 [] in
-  Ok (Json.List values)
+  go 0 []
 
 let op_expectation t req check =
   let* entry = model t req in

@@ -18,10 +18,13 @@ let write_frame fd payload =
     invalid_arg
       (Printf.sprintf "Protocol.write_frame: %d bytes exceeds the %d limit" len
          max_frame);
-  let b = Bytes.create 4 in
+  (* header and payload leave in one write: a separate 4-byte header
+     write meets Nagle's algorithm and the peer's delayed ACK on TCP,
+     which stalls every round trip by tens of milliseconds *)
+  let b = Bytes.create (4 + len) in
   Bytes.set_int32_be b 0 (Int32.of_int len);
-  write_all fd (Bytes.to_string b);
-  write_all fd payload
+  Bytes.blit_string payload 0 b 4 len;
+  write_all fd (Bytes.unsafe_to_string b)
 
 type read = Frame of string | Closed | Stopped
 

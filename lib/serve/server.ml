@@ -186,6 +186,13 @@ let run t =
     | fd, _ ->
       (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0
        with Unix.Unix_error _ -> ());
+      (* answers go out as soon as they are written, not after the
+         client's delayed ACK *)
+      (match t.config.address with
+      | `Tcp _ -> (
+        try Unix.setsockopt fd Unix.TCP_NODELAY true
+        with Unix.Unix_error _ -> ())
+      | `Unix _ -> ());
       let accepted =
         Mutex.lock t.lock;
         (* capacity = a waiting worker will take it now, or the bounded

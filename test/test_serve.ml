@@ -566,6 +566,264 @@ let test_graceful_stop () =
   (* stop is idempotent *)
   Serve.Server.stop server
 
+(* ------------------------------------------------------------------ *)
+(* TCP.  A frame whose 4-byte header and payload leave in two writes
+   meets Nagle's algorithm and the peer's delayed ACK, which stalls each
+   round trip by tens of milliseconds; 50 pings then take seconds.      *)
+
+let test_tcp_round_trips () =
+  let dir, _, meta = Lazy.force fixture in
+  let handler =
+    Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ())
+  in
+  let server =
+    Serve.Server.create
+      {
+        Serve.Server.address = `Tcp ("127.0.0.1", 0);
+        workers = 2;
+        max_pending = 16;
+        handler;
+      }
+  in
+  let address =
+    match Serve.Server.address server with
+    | Unix.ADDR_INET (_, port) -> `Tcp ("127.0.0.1", port)
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "TCP server bound a Unix address"
+  in
+  let thread = Thread.create Serve.Server.run server in
+  Fun.protect ~finally:(fun () ->
+      Serve.Server.stop server;
+      Thread.join thread)
+  @@ fun () ->
+  ok_or_fail "tcp"
+    (Serve.Client.with_connection address (fun c ->
+         let t0 = Unix.gettimeofday () in
+         for i = 1 to 50 do
+           let raw =
+             ok_or_fail "ping"
+               (Serve.Client.request_raw c
+                  (Printf.sprintf {|{"id":%d,"op":"ping"}|} i))
+           in
+           Alcotest.(check string)
+             "pong"
+             (Printf.sprintf {|{"id":%d,"ok":true,"result":"pong"}|} i)
+             raw
+         done;
+         let elapsed = Unix.gettimeofday () -. t0 in
+         if elapsed >= 1.0 then
+           Alcotest.failf "50 TCP ping round trips took %.2f s" elapsed;
+         (* a two-block batch answers the same bytes as local evaluation *)
+         let inputs = meta.Store.inputs in
+         let rng = Random.State.make [| 17 |] in
+         let bits () =
+           String.init inputs (fun _ ->
+               if Random.State.bool rng then '1' else '0')
+         in
+         let body =
+           Json.to_string ~pretty:false
+             (Json.Obj
+                [
+                  ("id", Json.Int 51);
+                  ("op", Json.String "eval_batch");
+                  ("model", Json.String "model.cfpm");
+                  ( "transitions",
+                    Json.List
+                      (List.init 5000 (fun _ ->
+                           Json.List
+                             [ Json.String (bits ()); Json.String (bits ()) ]))
+                  );
+                ])
+         in
+         let local =
+           Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ())
+         in
+         let over_tcp =
+           ok_or_fail "eval_batch" (Serve.Client.request_raw c body)
+         in
+         Alcotest.(check string)
+           "eval_batch over TCP"
+           (Serve.Handler.handle_string local body)
+           over_tcp;
+         Ok ()))
+
+(* ------------------------------------------------------------------ *)
+(* eval_batch byte identity.  The route the handler took before it
+   packed bitstrings straight into the batch buffer — bool arrays,
+   Powermodel.Vars.env, Dd.Compiled.pack — is kept here verbatim, and
+   its answers, rendered by the pre-memo printer, are the reference.   *)
+
+let reference_bits_of_string ~inputs k s =
+  if
+    String.length s = inputs
+    && String.for_all (fun c -> c = '0' || c = '1') s
+  then Ok (Array.init inputs (fun i -> s.[i] = '1'))
+  else
+    Error
+      (Guard.Error.validation
+         ~context:[ (k, s) ]
+         (Printf.sprintf "%s must be a %d-bit string of 0s and 1s" k inputs))
+
+let reference_eval_batch ~inputs compiled req =
+  let ( let* ) = Result.bind in
+  let* pairs =
+    match Json.member "transitions" req with
+    | Some (Json.List l) ->
+      List.fold_left
+        (fun acc item ->
+          let* acc = acc in
+          match item with
+          | Json.List [ Json.String a; Json.String b ] ->
+            let* x_i = reference_bits_of_string ~inputs "x_i" a in
+            let* x_f = reference_bits_of_string ~inputs "x_f" b in
+            Ok ((x_i, x_f) :: acc)
+          | _ ->
+            Error
+              (Guard.Error.validation
+                 "transitions must be a list of [x_i, x_f] bitstring pairs"))
+        (Ok []) l
+      |> Result.map List.rev
+    | _ ->
+      Error (Guard.Error.validation "request lacks a transitions list")
+  in
+  let program = Powermodel.Model.compiled_program compiled in
+  let envs =
+    Array.of_list
+      (List.map (fun (x_i, x_f) -> Powermodel.Vars.env ~x_i ~x_f) pairs)
+  in
+  let total = Array.length envs in
+  let rec go i acc =
+    if i >= total then Ok (List.concat (List.rev acc))
+    else
+      let n = min 4096 (total - i) in
+      let packed = Dd.Compiled.pack program (Array.sub envs i n) in
+      let out = Dd.Compiled.eval_batch ~jobs:1 program ~inputs:packed ~n in
+      go (i + n)
+        (Array.to_list (Array.map (fun v -> Json.Float v) out) :: acc)
+  in
+  let* values = go 0 [] in
+  Ok (Json.List values)
+
+let reference_response ~inputs compiled text =
+  let req =
+    match Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "request does not parse: %s" e
+  in
+  let id = Option.value (Json.member "id" req) ~default:Json.Null in
+  Test_json.reference_to_string ~pretty:false
+    (match reference_eval_batch ~inputs compiled req with
+    | Ok r -> Serve.Protocol.ok_response ~id r
+    | Error e -> Serve.Protocol.error_response ~id e)
+
+(* A generated batch: a small random circuit, exact or collapsed to a
+   few nodes (collapsed leaves are averages, which need %.17g), a batch
+   size, and up to three corruptions (a bad bit, a short string, a
+   non-pair) at random transitions. *)
+type batch_case = {
+  circuit_seed : int;
+  max_size : int option;
+  size : int;
+  bits_seed : int;
+  corruptions : (int * int * int) list;  (** kind, transition, bit *)
+}
+
+let batch_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 40 >>= fun circuit_seed ->
+    opt ~ratio:0.6 (int_range 4 16) >>= fun max_size ->
+    frequency
+      [ (2, oneofl [ 0; 1; 4096; 5000 ]); (1, int_range 2 40) ]
+    >>= fun size ->
+    int >>= fun bits_seed ->
+    frequency
+      [
+        (2, return []);
+        (1, list_size (int_range 1 3) (triple (int_bound 4) nat nat));
+      ]
+    >|= fun corruptions ->
+    { circuit_seed; max_size; size; bits_seed; corruptions }
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "circuit %d, max_size %s, %d transitions, bits %d, [%s]"
+        c.circuit_seed
+        (match c.max_size with Some m -> string_of_int m | None -> "exact")
+        c.size c.bits_seed
+        (String.concat "; "
+           (List.map
+              (fun (k, t, b) -> Printf.sprintf "%d@%d.%d" k t b)
+              c.corruptions)))
+    gen
+
+let batch_fixture =
+  lazy
+    (let dir = temp_dir () in
+     at_exit (fun () -> try rm_rf dir with _ -> ());
+     (dir, Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ())))
+
+let model_name c =
+  Printf.sprintf "m%d_%s.cfpm" c.circuit_seed
+    (match c.max_size with Some m -> string_of_int m | None -> "exact")
+
+let batch_request ~inputs c =
+  let rng = Random.State.make [| c.bits_seed |] in
+  let bits () =
+    String.init inputs (fun _ -> if Random.State.bool rng then '1' else '0')
+  in
+  let pairs = Array.init c.size (fun _ -> (bits (), bits ())) in
+  let items =
+    Array.map (fun (a, b) -> Json.List [ Json.String a; Json.String b ]) pairs
+  in
+  if c.size > 0 then
+    List.iter
+      (fun (kind, t, b) ->
+        let t = t mod c.size and b = b mod inputs in
+        let x_i, x_f = pairs.(t) in
+        let flip s = String.mapi (fun j ch -> if j = b then '2' else ch) s in
+        items.(t) <-
+          (match kind with
+          | 0 -> Json.List [ Json.String (flip x_i); Json.String x_f ]
+          | 1 -> Json.List [ Json.String x_i; Json.String (flip x_f) ]
+          | 2 ->
+            Json.List [ Json.String x_i; Json.String (String.sub x_f 0 b) ]
+          | 3 -> Json.List [ Json.String x_i ]
+          | _ -> Json.List [ Json.Int 0; Json.String x_f ]))
+      c.corruptions;
+  Json.to_string ~pretty:false
+    (Json.Obj
+       [
+         ("id", Json.Int c.bits_seed);
+         ("op", Json.String "eval_batch");
+         ("model", Json.String (model_name c));
+         ("transitions", Json.List (Array.to_list items));
+       ])
+
+let eval_batch_matches_reference c =
+  let dir, handler = Lazy.force batch_fixture in
+  let path = Filename.concat dir (model_name c) in
+  if not (Sys.file_exists path) then begin
+    (* The ambient budget slot is per domain, and the handler threads of
+       earlier tests share this one: concurrent deadline requests can
+       leave one of their budgets installed.  It belongs to no request
+       here, so it must not abort the build. *)
+    Guard.Budget.reset_ambient ();
+    let model =
+      Powermodel.Model.build ?max_size:c.max_size
+        (Util.small_random_circuit c.circuit_seed)
+    in
+    ignore (ok_or_fail "save" (Store.save ~path model) : Store.meta)
+  end;
+  let loaded = ok_or_fail "load" (Store.load path) in
+  let inputs = loaded.Store.meta.Store.inputs in
+  let text = batch_request ~inputs c in
+  let expected = reference_response ~inputs loaded.Store.compiled text in
+  let actual = Serve.Handler.handle_string handler text in
+  if not (String.equal expected actual) then
+    QCheck.Test.fail_reportf "response differs:@.reference %s@.handler   %s"
+      expected actual;
+  true
+
 let suite =
   [
     Alcotest.test_case "operations answer correctly" `Quick test_ops_answer;
@@ -599,4 +857,8 @@ let suite =
       `Quick test_worst_meets_deadline_under_load;
     Alcotest.test_case "graceful stop drains and unlinks" `Quick
       test_graceful_stop;
+    Alcotest.test_case "TCP round trips are prompt and byte-identical"
+      `Quick test_tcp_round_trips;
+    Util.qtest ~count:40 "eval_batch answers match the reference route"
+      batch_case eval_batch_matches_reference;
   ]
