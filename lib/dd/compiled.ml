@@ -11,8 +11,9 @@
      [lnot leaf_index] — the same branch-light packed-int discipline as
      Ct's computed tables.  This is the form {!eval} walks per query.
 
-   - A levelized step table for the batch path.  The diagram is
-     normalized at compile time into the fixed [plan] of passes, each
+   - A levelized step table for the batch path.  The triple program is
+     normalized ({!levelize}, straight from the triples) into the fixed
+     [plan] of passes, each
      consuming [radix] (= 4) consecutive variables (a short trailing
      pass covers the remainder), inserting pass-through states where
      the diagram skips variables.  Each state of level l is 2^arity
@@ -24,7 +25,7 @@
      no data-dependent branches (random inputs make the per-step branch
      of a scalar walk a coin toss, so its mispredicts dominate), and the
      iterations of a pass are independent, so their load chains overlap.
-     States are original diagram nodes, so a level holds at most [size]
+     States are triple references, so a level holds at most [size]
      states; levels are laid out contiguously, so a pass touches one
      small slice of the table.
 
@@ -60,14 +61,6 @@ let m_evals = Obs.Metrics.metric "compiled.evals"
 let block = 4096
 let node_count t = Array.length t.code / 3
 
-(* child of [node] under variable [var] = [b]: ordered diagrams test
-   variables in level order, so a node waiting on a deeper level (or a
-   leaf) is left in place *)
-let cof node var b =
-  match node with
-  | Add.Node n when n.var = var -> if b then n.high else n.low
-  | _ -> node
-
 (* variables consumed per batch pass: wide levels amortize the per-pass
    bookkeeping (one table lookup covers [radix] variables), at the price
    of 2^radix entries per state *)
@@ -82,88 +75,177 @@ let plan_of nvars =
   in
   go 0 []
 
-(* Normalize the diagram into the level-major step table.  Level [l]'s
-   states are the distinct diagram nodes reachable after consuming the
+(* Normalize the triple program into the level-major step table.  States
+   are child references (triple offset or [lnot leaf]).  Level [l]'s
+   states are the distinct references reachable after consuming the
    variables of earlier passes (in the order listed by [plan_vars]), in
-   first-encounter order (deterministic); after the last level every
-   state is a terminal, and entries hold leaf indices from
-   [leaf_index]. *)
-let levelize ~plan ~plan_vars ~leaf_index root_node =
+   first-encounter order (deterministic), interned per level through
+   [stamp]/[slot] (indexed by triple number, or [n + leaf]).  Levels are
+   laid out back to back, so the next level's base offset is known while
+   a level is filled: an entry is the absolute offset of its successor
+   state, and after the last pass the leaf index. *)
+let levelize ~plan ~plan_vars code n_leaves root =
+  let n = Array.length code / 3 in
   let nlevels = Array.length plan in
-  let stride_of l = 1 lsl fst plan.(l) in
-  let states = ref [| root_node |] in
-  let rev_entries = ref [] in
+  let key r = if r >= 0 then r / 3 else n + lnot r in
+  let stamp = Array.make (n + n_leaves) (-1) in
+  let slot = Array.make (n + n_leaves) 0 in
+  let next = Array.make (n + n_leaves) 0 in
+  let states = ref [| root |] in
+  let base = ref 0 in
+  let levels = ref [] in
   for l = 0 to nlevels - 1 do
     let arity, v0 = plan.(l) in
     let stride = 1 lsl arity in
-    let tbl = Hashtbl.create 64 in
-    let next = ref [] in
-    let n_next = ref 0 in
-    let intern node =
-      let id = Add.node_id node in
-      match Hashtbl.find_opt tbl id with
-      | Some s -> s
-      | None ->
-        let s = !n_next in
-        incr n_next;
-        Hashtbl.add tbl id s;
-        next := node :: !next;
-        s
-    in
     let cur = !states in
+    let next_base = !base + (Array.length cur * stride) in
+    let n_next = ref 0 in
+    let entry r =
+      if l + 1 < nlevels then begin
+        let k = key r in
+        if stamp.(k) <> l then begin
+          stamp.(k) <- l;
+          slot.(k) <- !n_next;
+          next.(!n_next) <- r;
+          incr n_next
+        end;
+        next_base + (slot.(k) lsl fst plan.(l + 1))
+      end
+      else if r < 0 then lnot r
+      else
+        (* a decision node after the last pass: [plan_vars] does not list
+           the program's variables in its level order (e.g. a stale order
+           after a reorder), which would silently miscompile *)
+        invalid_arg
+          "Compiled: order inconsistent with the diagram's level order"
+    in
     let ent = Array.make (Array.length cur * stride) 0 in
     Array.iteri
-      (fun si node ->
+      (fun si r ->
         for idx = 0 to stride - 1 do
           (* bit (arity - 1 - k) of idx is the value of the pass's k-th
-             variable, matching the walk's running [(idx lsl 1) lor b] *)
-          let c = ref node in
+             variable, matching the walk's running [(idx lsl 1) lor b];
+             ordered programs test variables in level order, so a
+             reference waiting on a deeper level (or a leaf) stays put *)
+          let c = ref r in
           for k = 0 to arity - 1 do
-            c :=
-              cof !c plan_vars.(v0 + k)
-                ((idx lsr (arity - 1 - k)) land 1 = 1)
+            if !c >= 0 && code.(!c) = plan_vars.(v0 + k) then
+              c := code.(!c + 1 + ((idx lsr (arity - 1 - k)) land 1))
           done;
-          ent.((si * stride) + idx) <- intern !c
+          ent.((si * stride) + idx) <- entry !c
         done)
       cur;
-    rev_entries := ent :: !rev_entries;
-    states := Array.of_list (List.rev !next)
+    levels := ent :: !levels;
+    base := next_base;
+    states := Array.sub next 0 !n_next
   done;
-  let entries = Array.of_list (List.rev !rev_entries) in
-  (* after the final pass every surviving state must be a terminal; a
-     decision node here means [plan_vars] does not list the diagram's
-     variables in its actual level order (e.g. a stale order after a
-     reorder), which would silently miscompile — fail loudly instead *)
-  Array.iter
-    (fun node ->
-      match node with
-      | Add.Leaf _ -> ()
-      | Add.Node _ ->
-        invalid_arg
-          "Compiled.compile: order inconsistent with the diagram's level \
-           order")
-    !states;
-  let leaf_slot = Array.map leaf_index !states in
-  let bases = Array.make (nlevels + 1) 0 in
-  Array.iteri
-    (fun l ent -> bases.(l + 1) <- bases.(l) + Array.length ent)
-    entries;
-  let steps = Array.make bases.(nlevels) 0 in
-  (* rewrite slot numbers as absolute offsets into [steps]; the last
-     level's entries become leaf indices *)
-  Array.iteri
-    (fun l ent ->
-      Array.iteri
-        (fun k slot ->
-          steps.(bases.(l) + k) <-
-            (if l + 1 < nlevels then
-               bases.(l + 1) + (slot * stride_of (l + 1))
-             else leaf_slot.(slot)))
-        ent)
-    entries;
-  steps
+  Array.concat (List.rev !levels)
 
-let compile ?order ?vars root_node =
+type repr = {
+  r_vars : int;
+  r_order : int array;
+  r_code : int array;
+  r_leaves : float array;
+  r_root : int;
+}
+
+(* variables in level order; identity unless the diagram was built (or
+   reordered) under a custom order *)
+let checked_order nvars = function
+  | None -> Array.init nvars Fun.id
+  | Some ord ->
+    if Array.length ord <> nvars then
+      invalid_arg "Compiled: order length must equal vars";
+    let seen = Array.make (max 1 nvars) false in
+    Array.iter
+      (fun v ->
+        if v < 0 || v >= nvars || seen.(v) then
+          invalid_arg "Compiled: order is not a permutation";
+        seen.(v) <- true)
+      ord;
+    Array.copy ord
+
+(* The memo of [triples] maps node ids (>= 0) to encoded references by
+   open addressing: [-1] marks a free slot, and the table is kept at most
+   half full.  No boxing and no polymorphic hash: this lookup is most of
+   the cost of numbering a large diagram. *)
+let rec probe keys id i =
+  let k = keys.(i) in
+  if k = id || k < 0 then i
+  else probe keys id ((i + 1) land (Array.length keys - 1))
+
+let slot_of keys id = probe keys id (Ct.mix id land (Array.length keys - 1))
+
+(* One traversal numbers the reachable DAG into growable buffers, then
+   trims them.  Parents are numbered before their children (preorder),
+   which is what puts a low spine on consecutive triples. *)
+let triples ?order ?vars root_node =
+  let code = ref (Array.make 768 0) in
+  let leaves = ref [] in
+  let keys = ref (Array.make 1024 (-1)) and refs = ref (Array.make 1024 0) in
+  let next_node = ref 0 in
+  let next_leaf = ref 0 in
+  let max_var = ref (-1) in
+  (* called after the entry is counted in [next_node + next_leaf] *)
+  let rec remember id r =
+    if 2 * (!next_node + !next_leaf) > Array.length !keys then begin
+      let ks = !keys and rs = !refs in
+      keys := Array.make (2 * Array.length ks) (-1);
+      refs := Array.make (2 * Array.length ks) 0;
+      Array.iteri (fun i k -> if k >= 0 then remember k rs.(i)) ks
+    end;
+    let i = slot_of !keys id in
+    !keys.(i) <- id;
+    !refs.(i) <- r
+  in
+  let rec go t =
+    let id = Add.node_id t in
+    let i = slot_of !keys id in
+    if !keys.(i) = id then !refs.(i)
+    else
+      match t with
+      | Add.Leaf l ->
+        let enc = lnot !next_leaf in
+        incr next_leaf;
+        leaves := l.value :: !leaves;
+        remember id enc;
+        enc
+      | Add.Node n ->
+        let slot = 3 * !next_node in
+        incr next_node;
+        if slot + 3 > Array.length !code then begin
+          let grown = Array.make (2 * (slot + 3)) 0 in
+          Array.blit !code 0 grown 0 slot;
+          code := grown
+        end;
+        remember id slot;
+        max_var := max !max_var n.var;
+        let lo = go n.low in
+        let hi = go n.high in
+        let c = !code in
+        c.(slot) <- n.var;
+        c.(slot + 1) <- lo;
+        c.(slot + 2) <- hi;
+        slot
+  in
+  let root = go root_node in
+  let nvars =
+    match vars with
+    | None -> !max_var + 1
+    | Some v ->
+      if v <= !max_var then
+        invalid_arg "Compiled.compile: vars smaller than the diagram support";
+      v
+  in
+  {
+    r_vars = nvars;
+    r_order = checked_order nvars order;
+    r_code = Array.sub !code 0 (3 * !next_node);
+    r_leaves = Array.of_list (List.rev !leaves);
+    r_root = root;
+  }
+
+let program_span f =
   Obs.Trace.with_span "compile" ~cat:"compiled"
     ~result_args:(fun t ->
       [
@@ -171,98 +253,47 @@ let compile ?order ?vars root_node =
         ("leaves", Json.Int (Array.length t.leaves));
         ("steps", Json.Int (Array.length t.steps));
       ])
-  @@ fun () ->
-  let min_vars =
-    match List.rev (Add.support root_node) with
-    | [] -> 0
-    | v :: _ -> v + 1
-  in
-  let nvars =
-    match vars with
-    | None -> min_vars
-    | Some v ->
-      if v < min_vars then
-        invalid_arg "Compiled.compile: vars smaller than the diagram support";
-      v
-  in
-  (* variables in level order; identity unless the diagram was built (or
-     reordered) under a custom order *)
-  let plan_vars =
-    match order with
-    | None -> Array.init nvars Fun.id
-    | Some ord ->
-      if Array.length ord <> nvars then
-        invalid_arg "Compiled.compile: order length must equal vars";
-      let seen = Array.make (max 1 nvars) false in
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= nvars || seen.(v) then
-            invalid_arg "Compiled.compile: order is not a permutation";
-          seen.(v) <- true)
-        ord;
-      Array.copy ord
-  in
-  let n_nodes = Add.internal_count root_node in
-  let n_leaves = Add.size root_node - n_nodes in
-  let code = Array.make (3 * n_nodes) 0 in
-  let leaves = Array.make n_leaves 0.0 in
-  (* old node id -> encoded reference; parents are numbered before their
-     children (preorder), which is what puts a low spine on consecutive
-     triples *)
-  let memo = Hashtbl.create (2 * (n_nodes + n_leaves)) in
-  let next_node = ref 0 in
-  let next_leaf = ref 0 in
-  let rec go t =
-    match Hashtbl.find_opt memo (Add.node_id t) with
-    | Some enc -> enc
-    | None -> (
-      match t with
-      | Add.Leaf l ->
-        let k = !next_leaf in
-        incr next_leaf;
-        leaves.(k) <- l.value;
-        let enc = lnot k in
-        Hashtbl.add memo l.id enc;
-        enc
-      | Add.Node n ->
-        let slot = 3 * !next_node in
-        incr next_node;
-        Hashtbl.add memo n.id slot;
-        code.(slot) <- n.var;
-        code.(slot + 1) <- go n.low;
-        code.(slot + 2) <- go n.high;
-        slot)
-  in
-  let root = go root_node in
-  (* the triple pass interned every terminal, so the memo resolves any
-     node the normalization can park on *)
-  let leaf_index node = lnot (Hashtbl.find memo (Add.node_id node)) in
-  let plan = plan_of nvars in
+    f
+
+(* The program shares [r]'s arrays; [plan_vars] is [r_order]. *)
+let of_checked_repr r =
+  let plan = plan_of r.r_vars in
   let steps =
-    if root < 0 then [||]
-    else levelize ~plan ~plan_vars ~leaf_index root_node
+    if r.r_root < 0 then [||]
+    else
+      levelize ~plan ~plan_vars:r.r_order r.r_code (Array.length r.r_leaves)
+        r.r_root
   in
   Obs.Metrics.incr m_programs;
-  { nvars; code; leaves; root; steps; plan; plan_vars }
+  {
+    nvars = r.r_vars;
+    code = r.r_code;
+    leaves = r.r_leaves;
+    root = r.r_root;
+    steps;
+    plan;
+    plan_vars = r.r_order;
+  }
 
-let vars t = t.nvars
-let leaf_count t = Array.length t.leaves
-let is_constant t = t.root < 0
+let compile ?order ?vars root_node =
+  program_span @@ fun () -> of_checked_repr (triples ?order ?vars root_node)
 
-type repr = {
-  r_vars : int;
-  r_code : int array;
-  r_leaves : float array;
-  r_root : int;
-}
+let of_repr r =
+  program_span @@ fun () ->
+  of_checked_repr { r with r_order = checked_order r.r_vars (Some r.r_order) }
 
 let to_repr t =
   {
     r_vars = t.nvars;
-    r_code = Array.copy t.code;
-    r_leaves = Array.copy t.leaves;
+    r_order = t.plan_vars;
+    r_code = t.code;
+    r_leaves = t.leaves;
     r_root = t.root;
   }
+
+let vars t = t.nvars
+let leaf_count t = Array.length t.leaves
+let is_constant t = t.root < 0
 
 let eval t env =
   if Array.length env < t.nvars then

@@ -45,7 +45,8 @@ val compile : ?order:int array -> ?vars:int -> Add.t -> t
     with its actual order: compilation raises [Invalid_argument] when the
     supplied order is not a permutation or provably disagrees with the
     diagram's structure.  Evaluation semantics are unchanged — inputs
-    stay indexed by variable, whatever the order.
+    stay indexed by variable, whatever the order.  Equivalent to
+    [of_repr (triples ?order ?vars d)].
 
     The source diagram is only read — the program shares nothing with its
     manager and is immutable, so it is safe to query from any number of
@@ -105,22 +106,33 @@ val block : int
 (** Vectors per shard (fixed, so block splitting never depends on the
     worker count). *)
 
-(** {1 Serialization support}
+(** {1 Triple programs}
 
-    The triple program {e is} the model's reachable DAG (parents numbered
-    before children, children referenced by triple offset or [lnot leaf]),
-    so persisting [(vars, code, leaves, root)] is enough to reconstruct
-    the diagram exactly: {!Powermodel.Store} rebuilds the ADD bottom-up
-    through the ordinary hash-consing constructor and recompiles, which
-    reproduces these arrays bit for bit. *)
+    The triple program {e is} the model's reachable DAG (numbered
+    depth-first from the root, children referenced by triple offset or
+    [lnot leaf]), so [(vars, order, code, leaves, root)] determines the
+    whole program: {!Powermodel.Store} persists it and loads it back
+    through {!of_repr}, and the analytic passes ({!Markov.expectation},
+    {!Powermodel.Analysis}) read it directly. *)
 
 type repr = {
   r_vars : int;  (** environment width ({!vars}) *)
+  r_order : int array;  (** variables in level order, root first *)
   r_code : int array;  (** [(var, lo, hi)] triples at stride 3, preorder *)
   r_leaves : float array;  (** terminal values, first-encounter order *)
   r_root : int;  (** root reference, encoded like a child *)
 }
 
+val triples : ?order:int array -> ?vars:int -> Add.t -> repr
+(** Number the diagram's reachable DAG in one traversal, without the step
+    table or a [compiled.programs] count; arguments as for {!compile}. *)
+
+val of_repr : repr -> t
+(** Levelize the step table straight from the triples, sharing [repr]'s
+    arrays (never mutate them afterwards).  Raises [Invalid_argument]
+    like {!compile} on a bad order; the triples must be well formed (from
+    {!triples}/{!to_repr}, or validated as a stored artifact's are).
+    [of_repr (to_repr p)] rebuilds [p] exactly. *)
+
 val to_repr : t -> repr
-(** Copies of the program's flat arrays (the program itself stays
-    immutable and shared). *)
+(** The program's own arrays, not copies: read them, never write them. *)

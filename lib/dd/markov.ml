@@ -1,22 +1,16 @@
-(* Node masses and conditional moments of a transition ADD under Markov
-   input statistics.
+(* Markov input statistics over a transition ADD, and the exact
+   expectation of a triple program under them.
 
    The diagrams built by the power-model construction are functions of
    interleaved variable pairs: variable 2j is input j at time t_i, variable
    2j+1 the same input at t_f.  Under the stimulus model (per-bit Markov
    chain with signal probability sp and toggle rate st), path probabilities
    are not uniform: the final-copy branch depends on the initial-copy value
-   chosen one level up.  This module propagates that one-variable context
-   (the "pending" partner value) through the reduced DAG to obtain, for
-   every node,
-
-   - its reach probability (mass) under (sp, st), and
-   - the conditional first and second moments of its subfunction given
-     that it is reached.
-
-   All quantities are exact and purely analytic — no simulation — which is
-   what lets {!Approx} collapse nodes by their damage under a whole family
-   of statistics while staying characterization-free. *)
+   chosen one level up.  The expectation propagates that one-variable
+   context (the "pending" partner value) through the reduced DAG.  It is
+   exact and purely analytic — no simulation.  {!Approx.dense_markov}
+   applies the same measure to node masses and moments when it collapses
+   nodes by their damage under a whole family of statistics. *)
 
 type statistics = { sp : float; st : float }
 
@@ -38,143 +32,50 @@ let default_anchors =
         sts)
     sps
 
-let p_high_initial s = s.sp
-
 (* stationary two-state chain realizing (sp, st):
    P(0->1) = st / (2 (1-sp)),  P(1->0) = st / (2 sp) *)
 let p_toggle_given ~initial s =
   if initial then Float.min 1.0 (s.st /. (2.0 *. s.sp))
   else Float.min 1.0 (s.st /. (2.0 *. (1.0 -. s.sp)))
 
-let p_high_final ~pending s =
-  match pending with
-  | Some true -> 1.0 -. p_toggle_given ~initial:true s
-  | Some false -> p_toggle_given ~initial:false s
-  | None -> s.sp (* partner not on the path: stationary marginal *)
-
-(* Contexts: the pending initial-copy value, if the node's variable is a
-   final copy whose partner was decided on the immediately preceding
-   level. *)
-let n_contexts = 3
-
-let ctx_none = 0
-let ctx_low = 1
-let ctx_high = 2
-
-let pending_of_ctx = function
-  | 1 -> Some false
-  | 2 -> Some true
-  | _ -> None
-
 let is_initial_var v = v land 1 = 0
 
-let child_ctx parent_var branch child =
-  if is_initial_var parent_var then begin
-    match child with
-    | Add.Node c when c.var = parent_var + 1 ->
-      if branch then ctx_high else ctx_low
-    | Add.Node _ | Add.Leaf _ -> ctx_none
-  end
-  else ctx_none
+(* Contexts: 0 when no partner is pending (stationary marginal), else
+   1 + the initial-copy value decided on the immediately preceding level
+   for the final copy this triple tests. *)
+let p_high s var ctx =
+  if is_initial_var var then s.sp
+  else
+    match ctx with
+    | 1 -> p_toggle_given ~initial:false s
+    | 2 -> 1.0 -. p_toggle_given ~initial:true s
+    | _ -> s.sp
 
-type tables = {
-  mass : (int, float array) Hashtbl.t;     (* per node, per context *)
-  moment1 : (int, float array) Hashtbl.t;
-  moment2 : (int, float array) Hashtbl.t;
-}
+let child_ctx code parent_var branch child =
+  if is_initial_var parent_var && child >= 0 && code.(child) = parent_var + 1
+  then if branch then 2 else 1
+  else 0
 
-let analyze stats_point root =
-  let mass : (int, float array) Hashtbl.t = Hashtbl.create 256 in
-  let moment1 : (int, float array) Hashtbl.t = Hashtbl.create 256 in
-  let moment2 : (int, float array) Hashtbl.t = Hashtbl.create 256 in
-  let cell table id init =
-    match Hashtbl.find_opt table id with
-    | Some a -> a
-    | None ->
-      let a = Array.make n_contexts init in
-      Hashtbl.add table id a;
-      a
-  in
-  (* Bottom-up conditional moments (lazily per encountered context). *)
-  let rec moments node ctx =
-    let id = Add.node_id node in
-    let m1 = cell moment1 id nan and m2 = cell moment2 id nan in
-    if Float.is_nan m1.(ctx) then begin
-      let v1, v2 =
-        match node with
-        | Add.Leaf l -> (l.value, l.value *. l.value)
-        | Add.Node n ->
-          let p_high =
-            if is_initial_var n.var then p_high_initial stats_point
-            else p_high_final ~pending:(pending_of_ctx ctx) stats_point
-          in
-          let l1, l2 = moments n.low (child_ctx n.var false n.low) in
-          let h1, h2 = moments n.high (child_ctx n.var true n.high) in
-          ( ((1.0 -. p_high) *. l1) +. (p_high *. h1),
-            ((1.0 -. p_high) *. l2) +. (p_high *. h2) )
-      in
-      m1.(ctx) <- v1;
-      m2.(ctx) <- v2
-    end;
-    (m1.(ctx), m2.(ctx))
-  in
-  let _ = moments root ctx_none in
-  (* Top-down masses over the parents-first order. *)
-  let order = Add.fold_nodes root ~init:[] ~f:(fun acc n -> n :: acc) in
-  (cell mass (Add.node_id root) 0.0).(ctx_none) <- 1.0;
-  List.iter
-    (fun node ->
-      match node with
-      | Add.Leaf _ -> ()
-      | Add.Node n ->
-        let here = cell mass (Add.node_id node) 0.0 in
-        let flow ctx m =
-          if m > 0.0 then begin
-            let p_high =
-              if is_initial_var n.var then p_high_initial stats_point
-              else p_high_final ~pending:(pending_of_ctx ctx) stats_point
-            in
-            let lo = cell mass (Add.node_id n.low) 0.0 in
-            let hi = cell mass (Add.node_id n.high) 0.0 in
-            let lo_ctx = child_ctx n.var false n.low in
-            let hi_ctx = child_ctx n.var true n.high in
-            lo.(lo_ctx) <- lo.(lo_ctx) +. ((1.0 -. p_high) *. m);
-            hi.(hi_ctx) <- hi.(hi_ctx) +. (p_high *. m)
-          end
-        in
-        for ctx = 0 to n_contexts - 1 do
-          flow ctx here.(ctx)
-        done)
-    order;
-  { mass; moment1; moment2 }
-
-let node_mass t id =
-  match Hashtbl.find_opt t.mass id with
-  | None -> 0.0
-  | Some a -> a.(0) +. a.(1) +. a.(2)
-
-(* Context-mixed conditional moments of node [id], weighted by the masses
-   with which each context is reached.  Unreached nodes report zero mass
-   and the supplied default moments. *)
-let node_moments t id ~default =
-  match
-    ( Hashtbl.find_opt t.mass id,
-      Hashtbl.find_opt t.moment1 id,
-      Hashtbl.find_opt t.moment2 id )
-  with
-  | Some masses, Some m1, Some m2 ->
-    let total = masses.(0) +. masses.(1) +. masses.(2) in
-    if total <= 0.0 then (0.0, fst default, snd default)
+(* Bottom-up conditional first moment, memoized per (triple, context) in
+   one [3n] array ([nan] = not yet computed).  The root is reached with
+   mass 1 in the empty context, so its context-0 moment is the
+   expectation. *)
+let expectation stats_point (prog : Compiled.repr) =
+  let code = prog.r_code and leaves = prog.r_leaves in
+  let memo = Array.make (Array.length code) nan in
+  let rec moment r ctx =
+    if r < 0 then leaves.(lnot r)
     else begin
-      let acc1 = ref 0.0 and acc2 = ref 0.0 in
-      for ctx = 0 to n_contexts - 1 do
-        if masses.(ctx) > 0.0 then begin
-          (* a context with positive mass was necessarily visited by the
-             moment recursion *)
-          acc1 := !acc1 +. (masses.(ctx) *. m1.(ctx));
-          acc2 := !acc2 +. (masses.(ctx) *. m2.(ctx))
-        end
-      done;
-      (total, !acc1 /. total, !acc2 /. total)
+      let cell = r + ctx in
+      if Float.is_nan memo.(cell) then begin
+        let var = code.(r) in
+        let p = p_high stats_point var ctx in
+        let lo = code.(r + 1) and hi = code.(r + 2) in
+        let l1 = moment lo (child_ctx code var false lo) in
+        let h1 = moment hi (child_ctx code var true hi) in
+        memo.(cell) <- ((1.0 -. p) *. l1) +. (p *. h1)
+      end;
+      memo.(cell)
     end
-  | _ -> (0.0, fst default, snd default)
+  in
+  moment prog.r_root 0

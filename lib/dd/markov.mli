@@ -1,16 +1,16 @@
-(** Exact node masses and conditional moments of a transition ADD under
-    Markov input statistics.
+(** Markov input statistics over transition variables, and exact
+    expectations under them.
 
     The collapse criterion of {!Approx} must decide how much damage
     replacing a sub-ADD by a constant does.  Under the uniform measure the
     near-diagonal region (transitions with few toggles) has vanishing mass,
     yet it is exactly where evaluation concentrates when the input toggle
     rate is low — so a uniform-mass criterion silently sacrifices low-[st]
-    accuracy.  This module computes, {e analytically}, each node's reach
-    probability and conditional subfunction moments under any [(sp, st)]
-    stimulus statistics, so that the collapse can be made robust across a
-    family of statistics while remaining characterization-free (no
-    simulation anywhere).
+    accuracy.  This module defines the Markov measure of any [(sp, st)]
+    stimulus statistics; {!Approx} computes node masses and moments under
+    it, so that the collapse is robust across a family of statistics while
+    remaining characterization-free (no simulation anywhere), and
+    {!expectation} evaluates a compiled model's exact expectation.
 
     Variables are assumed to follow the interleaved transition convention
     (variable [2j] = input [j] at [t_i], variable [2j+1] = input [j] at
@@ -28,16 +28,7 @@ val default_anchors : statistics list
 val p_toggle_given : initial:bool -> statistics -> float
 (** Markov toggle probability conditioned on the initial value. *)
 
-type tables
-
-val analyze : statistics -> Add.t -> tables
-(** One top-down (masses) and one bottom-up (moments) traversal; O(nodes)
-    per statistics point. *)
-
-val node_mass : tables -> int -> float
-(** Reach probability of a node (by id), all contexts combined. *)
-
-val node_moments : tables -> int -> default:(float * float) -> float * float * float
-(** [(mass, E[f | reach], E[f^2 | reach])] of a node's subfunction under
-    the analyzed statistics, mixing contexts by their masses.  Unreachable
-    nodes report zero mass and the supplied default moments. *)
+val expectation : statistics -> Compiled.repr -> float
+(** Exact expectation of a triple program's function under the
+    statistics: one bottom-up pass of conditional first moments,
+    memoized per (triple, pending-partner context); O(triples). *)

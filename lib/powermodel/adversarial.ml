@@ -17,8 +17,7 @@ let m_decisions = Obs.Metrics.metric "pbo.decisions"
 let m_optimal = Obs.Metrics.metric "pbo.optimal"
 let m_bounded = Obs.Metrics.metric "pbo.bounded"
 
-let worst_add model =
-  let x_i, x_f, value = Analysis.worst_case_transition model in
+let of_witness model (x_i, x_f, value) =
   {
     value;
     x_i;
@@ -28,6 +27,11 @@ let worst_add model =
     stats = None;
     reason = None;
   }
+
+let worst_add model = of_witness model (Analysis.worst_case_transition model)
+
+let worst_add_compiled c =
+  of_witness (Model.compiled_model c) (Analysis.worst_case_transition_compiled c)
 
 let worst_pbo ?budget ?output_load ?loads ?hint circuit =
   let budget =

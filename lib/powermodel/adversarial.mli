@@ -37,6 +37,10 @@ val worst_add : Model.t -> result_
     [optimal] iff the model is exact; on a collapsed upper-bound model
     the value is the conservative bound (and [upper] equals it). *)
 
+val worst_add_compiled : Model.compiled -> result_
+(** {!worst_add} over the compiled model's own triple program
+    ({!Analysis.worst_case_transition_compiled}). *)
+
 val worst_pbo :
   ?budget:Guard.Budget.t ->
   ?output_load:float ->

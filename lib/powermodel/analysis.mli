@@ -3,7 +3,13 @@
     A white-box model is a closed-form discrete function, so questions that
     need long simulation campaigns on black-box models become single
     diagram traversals: worst-case witnesses, exact expectations under any
-    input statistics, per-input sensitivities. *)
+    input statistics, per-input sensitivities.
+
+    Each query is one memoized pass over a triple program
+    ({!Dd.Compiled.repr}): a compiled model's own ([_compiled]), or the
+    {!Model.triples} of a {!Model.t} — the same floats either way.  Passes
+    share no mutable state, so one compiled model serves concurrent
+    queries without a lock. *)
 
 val worst_case_transition : Model.t -> bool array * bool array * float
 (** [(x_i, x_f, value)] — a transition attaining the model's maximum.  On
@@ -11,13 +17,19 @@ val worst_case_transition : Model.t -> bool array * bool array * float
     that maximize the internal switching activity" of the worst-case
     literature the paper discusses); on an upper-bound model it attains the
     conservative bound.  Don't-care inputs are reported as [false].  One
-    memoized subtree-max pass keyed on node id — O(|nodes|), not the
-    O(depth × subtree) of re-sweeping both children at every level. *)
+    memoized subtree-max pass — O(|nodes|), not the O(depth × subtree) of
+    re-sweeping both children at every level. *)
+
+val worst_case_transition_compiled :
+  Model.compiled -> bool array * bool array * float
 
 val expected_capacitance : Model.t -> sp:float -> st:float -> float
 (** Exact expectation of the model under the Markov stimulus statistics
     [(sp, st)] — the analytic counterpart of an infinitely long random
-    simulation run. *)
+    simulation run ({!Dd.Markov.expectation}). *)
+
+val expected_capacitance_compiled :
+  Model.compiled -> sp:float -> st:float -> float
 
 val toggle_sensitivity : Model.t -> int -> float
 (** Expected capacitance when input [j] toggles minus when it holds, other
@@ -26,3 +38,5 @@ val toggle_sensitivity : Model.t -> int -> float
 
 val toggle_sensitivities : Model.t -> float array
 (** {!toggle_sensitivity} for every input. *)
+
+val toggle_sensitivities_compiled : Model.compiled -> float array

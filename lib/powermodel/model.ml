@@ -488,6 +488,15 @@ let compile t =
         ~vars t.cap;
   }
 
+let triples t =
+  let vars = Vars.count ~inputs:t.inputs in
+  Dd.Compiled.triples ~order:(Dd.Add.var_order t.add_manager ~vars) ~vars t.cap
+
+let compiled_of_program t program =
+  if Dd.Compiled.vars program <> Vars.count ~inputs:t.inputs then
+    invalid_arg "Model.compiled_of_program: program width is not 2 * inputs";
+  { source = t; program }
+
 let compiled_model c = c.source
 let compiled_program c = c.program
 

@@ -161,6 +161,15 @@ val compile : t -> compiled
 (** Compile over the full interleaved width ({!Vars.count}), so packed
     batches always use a stride of [2 * inputs] bytes per transition. *)
 
+val triples : t -> Dd.Compiled.repr
+(** The triple program {!compile} would build, without its step table
+    ({!Dd.Compiled.triples}): what the analyses and the store read. *)
+
+val compiled_of_program : t -> Dd.Compiled.t -> compiled
+(** Pair a model with a program already compiled from it (a stored
+    artifact's, loaded through {!Dd.Compiled.of_repr}).  Raises
+    [Invalid_argument] unless the program's width is [2 * inputs]. *)
+
 val compiled_model : compiled -> t
 val compiled_program : compiled -> Dd.Compiled.t
 

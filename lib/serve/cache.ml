@@ -9,11 +9,7 @@ let m_hits = Obs.Metrics.metric "serve.cache_hits"
 let m_misses = Obs.Metrics.metric "serve.cache_misses"
 let m_evictions = Obs.Metrics.metric "serve.cache_evictions"
 
-type entry = {
-  loaded : Store.loaded;
-  bytes : int;
-  analysis_mutex : Mutex.t;
-}
+type entry = { loaded : Store.loaded; bytes : int }
 
 type slot = { entry : entry; mutable stamp : int }
 
@@ -120,11 +116,7 @@ let find_or_load t name =
       | Error _ as e -> e
       | Ok loaded ->
         let entry =
-          {
-            loaded;
-            bytes = Store.approx_bytes loaded.Store.meta;
-            analysis_mutex = Mutex.create ();
-          }
+          { loaded; bytes = Store.approx_bytes loaded.Store.meta }
         in
         let entry, fresh =
           locked t (fun () ->

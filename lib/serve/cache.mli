@@ -14,20 +14,14 @@
     same artifact both succeed and one result is dropped — wasteful,
     harmless, and rare.
 
-    Concurrency of the entries themselves: the compiled program is
-    immutable and safe to query from any number of threads, but the
-    {e analytic} queries (expectation, worst case, sensitivities) walk
-    the hash-consed ADD through the manager's computed tables, which are
-    mutable — every analytic query on an entry must hold that entry's
-    {!analysis_mutex}.  {!Handler} does; see DESIGN.md "Serving &
-    persistence". *)
+    Concurrency of the entries themselves: an entry is immutable once
+    loaded, and every query ({!Handler}'s evaluations and analyses alike)
+    reads the compiled program without a lock; see DESIGN.md "The query
+    server". *)
 
 type entry = {
   loaded : Store.loaded;
   bytes : int;  (** {!Store.approx_bytes} of the artifact's meta *)
-  analysis_mutex : Mutex.t;
-      (** serializes interpreted-diagram queries (the compiled program
-          needs no lock) *)
 }
 
 type t

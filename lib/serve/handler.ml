@@ -99,10 +99,6 @@ let check_budget = function
     | Guard.Budget.Exhausted e ->
       Error (Guard.Error.with_context [ ("reason", "deadline") ] e))
 
-let with_mutex m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* ------------------------------------------------------------------ *)
 (* Operations.                                                          *)
 
@@ -183,11 +179,10 @@ let op_expectation t req check =
   let* sp = opt_prob req "sp" ~default:meta.Store.default_sp in
   let* st = opt_prob req "st" ~default:meta.Store.default_st in
   let* () = check () in
-  with_mutex entry.Cache.analysis_mutex (fun () ->
-      Ok
-        (Json.Float
-           (Powermodel.Analysis.expected_capacitance
-              entry.Cache.loaded.Store.model ~sp ~st)))
+  Ok
+    (Json.Float
+       (Powermodel.Analysis.expected_capacitance_compiled
+          entry.Cache.loaded.Store.compiled ~sp ~st))
 
 let worst_json ~method_ (r : Powermodel.Adversarial.result_) =
   Json.Obj
@@ -210,15 +205,13 @@ let worst_method req =
       (Guard.Error.validation "method must be \"add\", \"pbo\" or \"both\"")
 
 let worst_add entry =
-  with_mutex entry.Cache.analysis_mutex (fun () ->
-      Powermodel.Adversarial.worst_add entry.Cache.loaded.Store.model)
+  Powermodel.Adversarial.worst_add_compiled entry.Cache.loaded.Store.compiled
 
 (* The PBO route needs the netlist, which the artifact does not carry —
    only its circuit name.  The resolver maps the name back to a
-   [Netlist.Circuit.t]; the solve runs under the request's ambient
-   deadline budget and takes no analysis mutex (it shares no state with
-   the ADD). *)
-let worst_pbo t entry =
+   [Netlist.Circuit.t]; the solve runs under the request's deadline
+   budget, passed explicitly. *)
+let worst_pbo t entry budget =
   let name = entry.Cache.loaded.Store.meta.Store.circuit in
   match t.resolve_circuit with
   | None ->
@@ -233,20 +226,20 @@ let worst_pbo t entry =
         (Guard.Error.validation
            ~context:[ ("circuit", name) ]
            "the artifact's circuit is unknown to this server")
-    | Some circuit -> Powermodel.Adversarial.worst_pbo circuit)
+    | Some circuit -> Powermodel.Adversarial.worst_pbo ?budget circuit)
 
-let op_worst t req check =
+let op_worst t req budget check =
   let* entry = model t req in
   let* method_ = worst_method req in
   let* () = check () in
   match method_ with
   | `Add -> Ok (worst_json ~method_:"add" (worst_add entry))
   | `Pbo ->
-    let* r = worst_pbo t entry in
+    let* r = worst_pbo t entry budget in
     Ok (worst_json ~method_:"pbo" r)
   | `Both ->
     let a = worst_add entry in
-    let* p = worst_pbo t entry in
+    let* p = worst_pbo t entry budget in
     let comparable =
       a.Powermodel.Adversarial.optimal && p.Powermodel.Adversarial.optimal
     in
@@ -270,12 +263,11 @@ let op_worst t req check =
 let op_sensitivities t req check =
   let* entry = model t req in
   let* () = check () in
-  with_mutex entry.Cache.analysis_mutex (fun () ->
-      let sens =
-        Powermodel.Analysis.toggle_sensitivities entry.Cache.loaded.Store.model
-      in
-      Ok
-        (Json.List (Array.to_list (Array.map (fun v -> Json.Float v) sens))))
+  let sens =
+    Powermodel.Analysis.toggle_sensitivities_compiled
+      entry.Cache.loaded.Store.compiled
+  in
+  Ok (Json.List (Array.to_list (Array.map (fun v -> Json.Float v) sens)))
 
 let op_meta t req check =
   let* entry = model t req in
@@ -301,29 +293,24 @@ let dispatch t req =
   let* op = req_string req "op" in
   let* budget = budget_of t req in
   let check () = check_budget budget in
-  let body () =
-    match op with
-    | "ping" -> Ok (Json.String "pong")
-    | "stats" -> op_stats t
-    | "meta" -> op_meta t req check
-    | "eval" -> op_eval t req check
-    | "eval_batch" -> op_eval_batch t req check
-    | "expectation" -> op_expectation t req check
-    | "worst" -> op_worst t req check
-    | "sensitivities" -> op_sensitivities t req check
-    | "stream" ->
-      (* live telemetry snapshots of every pipeline this process runs;
-         reads are lock-ordered so a publisher never deadlocks us *)
-      Ok (Stream.Registry.snapshot ())
-    | other ->
-      Error
-        (Guard.Error.validation
-           ~context:[ ("op", other) ]
-           (Printf.sprintf "unknown operation %S" other))
-  in
-  match budget with
-  | None -> body ()
-  | Some b -> Guard.Budget.with_ambient b body
+  match op with
+  | "ping" -> Ok (Json.String "pong")
+  | "stats" -> op_stats t
+  | "meta" -> op_meta t req check
+  | "eval" -> op_eval t req check
+  | "eval_batch" -> op_eval_batch t req check
+  | "expectation" -> op_expectation t req check
+  | "worst" -> op_worst t req budget check
+  | "sensitivities" -> op_sensitivities t req check
+  | "stream" ->
+    (* live telemetry snapshots of every pipeline this process runs;
+       reads are lock-ordered so a publisher never deadlocks us *)
+    Ok (Stream.Registry.snapshot ())
+  | other ->
+    Error
+      (Guard.Error.validation
+         ~context:[ ("op", other) ]
+         (Printf.sprintf "unknown operation %S" other))
 
 (* ------------------------------------------------------------------ *)
 (* The fault boundary.                                                  *)

@@ -46,8 +46,12 @@
     returned as an error response, never propagated.  A wall-clock
     deadline ([deadline_ms] in the request, else the handler default)
     is enforced through a {!Guard.Budget} checked at operation seams
-    (between eval blocks, before diagram walks); an overrun answers a
-    [Resource] error with [reason=deadline].  The [serve_request] fault
+    (between eval blocks, before diagram walks) and handed to the PBO
+    solve as its budget — explicitly, never through the shared ambient
+    slot, which every worker thread of a domain would see; an overrun
+    answers a [Resource] error with [reason=deadline].  The analyses
+    ([expectation], [worst], [sensitivities]) read the cached model's
+    compiled program, take no lock and may run concurrently.  The [serve_request] fault
     point fires at entry (keyed on the request's [id]/[op]/[model], so
     injection is deterministic per request), and [store_read] fires
     inside artifact loads. *)

@@ -444,10 +444,7 @@ let save ?(defaults = (0.5, 0.5)) ~path (model : Powermodel.Model.t) =
       (Guard.Error.validation ~context:[ ("file", path) ]
          "store defaults (sp, st) must lie in [0, 1]")
   else
-    let compiled = Powermodel.Model.compile model in
-    let repr =
-      Dd.Compiled.to_repr (Powermodel.Model.compiled_program compiled)
-    in
+    let repr = Powermodel.Model.triples model in
     let meta =
       {
         circuit = model.circuit_name;
@@ -457,7 +454,7 @@ let save ?(defaults = (0.5, 0.5)) ~path (model : Powermodel.Model.t) =
         max_size = model.max_size;
         reorder = model.reorder;
         exact = Powermodel.Model.is_exact model;
-        order = Dd.Add.var_order model.add_manager ~vars:repr.r_vars;
+        order = repr.r_order;
         default_sp;
         default_st;
         nodes = Array.length repr.r_code / 3;
@@ -494,14 +491,14 @@ type loaded = {
   compiled : Powermodel.Model.compiled;
 }
 
-(* The triple program is rebuilt bottom-up through the ordinary
+(* The program is levelized straight from the decoded arrays.  The ADD
+   of [loaded.model] is rebuilt bottom-up through the ordinary
    hash-consing constructor, under the stored level order.  Slot order is
    DFS-with-sharing (a re-referenced child can sit at a *smaller* slot
    than its parent), so the topological order that is guaranteed is the
    level order: every edge goes strictly deeper (validated above).
    Building deepest levels first therefore sees every child before any
-   parent.  The result is the canonical reduced diagram of the stored
-   function: recompiling it reproduces the stored arrays bit for bit. *)
+   parent. *)
 let rebuild meta (nvars, root, code) leaves =
   let mgr = Dd.Add.manager () in
   if nvars > 0 then Dd.Add.set_order mgr meta.order;
@@ -541,7 +538,12 @@ let rebuild meta (nvars, root, code) leaves =
       stats = meta.stats;
     }
   in
-  { meta; model; compiled = Powermodel.Model.compile model }
+  let program =
+    Dd.Compiled.of_repr
+      { r_vars = nvars; r_order = meta.order; r_code = code; r_leaves = leaves;
+        r_root = root }
+  in
+  { meta; model; compiled = Powermodel.Model.compiled_of_program model program }
 
 let load path =
   Obs.Trace.with_span "store_load" ~cat:"store"

@@ -8,12 +8,12 @@
     statistics and build/reorder statistics, so any later process — a
     long-running [cfpm serve], a cross-stage consumer in the ATLAS sense —
     can answer every model query without touching the netlist again.
-    {!load} reconstructs the full {!Powermodel.Model.t} (the triple
-    program {e is} the reachable ADD; it is rebuilt bottom-up through the
-    hash-consing constructor), so the analytic queries
-    ({!Powermodel.Analysis}) work on a loaded model exactly as on a
-    freshly built one, and recompiling reproduces the stored arrays bit
-    for bit.
+    {!load} levelizes the program straight from the stored triples
+    ({!Dd.Compiled.of_repr}) and also rebuilds the full
+    {!Powermodel.Model.t} (the triple program {e is} the reachable ADD;
+    it is rebuilt bottom-up through the hash-consing constructor), so
+    every query ({!Powermodel.Analysis} included) answers on a loaded
+    model exactly as on a freshly built one.
 
     {2 Format (cfpm-store/1)}
 
@@ -91,10 +91,12 @@ type loaded = {
 }
 
 val load : string -> (loaded, Guard.Error.t) result
-(** Read, verify and reconstruct.  The rebuilt model is fully functional:
-    [switched_capacitance], [eval_batch], {!Powermodel.Analysis}
-    expectation / worst-case / sensitivity queries all answer exactly as
-    on the model that was saved.  Honours the [store_read] fault-injection
+(** Read, verify and reconstruct: decode, validate, rebuild the ADD, then
+    {!Dd.Compiled.of_repr} on the decoded arrays (the ADD is never
+    recompiled).  [switched_capacitance], [eval_batch] and the
+    {!Powermodel.Analysis} expectation / worst-case / sensitivity queries,
+    on [model] or on [compiled], all answer exactly as on the model that
+    was saved.  Honours the [store_read] fault-injection
     point ({!Guard.Fault}).  The returned diagram is protected in its own
     fresh manager. *)
 

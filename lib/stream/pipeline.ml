@@ -325,14 +325,14 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
   in
   publish ();
   Registry.publish cfg.name (fun () -> Atomic.get latest);
-  (* one drift event: the self-healing moment.  The ADD answers the new
-     regime by re-evaluating its closed form; Lin must be re-solved from
+  (* one drift event: the self-healing moment.  The compiled model
+     answers the new regime by re-evaluating its closed form; Lin must be re-solved from
      forgotten normal equations and still only knows what was sampled. *)
   let handle_event (ev : Drift.event) =
     let t0 = Guard.Budget.now () in
     let expectation =
-      Powermodel.Analysis.expected_capacitance model ~sp:ev.Drift.cur_sp
-        ~st:ev.Drift.cur_st
+      Powermodel.Analysis.expected_capacitance_compiled compiled
+        ~sp:ev.Drift.cur_sp ~st:ev.Drift.cur_st
     in
     let t1 = Guard.Budget.now () in
     let lin_rms_before = Refit.rms_recent refit !lin in

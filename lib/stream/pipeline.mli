@@ -3,9 +3,9 @@
     re-estimation, with periodic journaled checkpoints.
 
     The paper's live demonstration: when the detector fires, the exact
-    expectation is {e re-evaluated} from the already-built ADD
-    ({!Powermodel.Analysis.expected_capacitance} — microseconds, zero
-    rebuild) while the characterized [Lin] baseline has to be refit from
+    expectation is {e re-evaluated} from the already-compiled model
+    ({!Powermodel.Analysis.expected_capacitance_compiled} — one pass over
+    its triple program, zero rebuild) while the characterized [Lin] baseline has to be refit from
     freshly simulated samples and chases the new regime.
 
     {b Determinism.}  Vectors are folded in fixed flush quanta (a

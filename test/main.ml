@@ -34,6 +34,7 @@ let () =
       ("misc", Test_misc.suite);
       ("reorder", Test_reorder.suite);
       ("analysis", Test_analysis.suite);
+      ("golden", Test_golden.suite);
       ("pbo", Test_pbo.suite);
       ("store", Test_store.suite);
       ("serve", Test_serve.suite);

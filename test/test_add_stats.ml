@@ -91,8 +91,8 @@ let test_mass_conservation =
 (* ---- Markov analysis over interleaved transition variables ----
 
    Build a transition function over 2 inputs (4 diagram variables), then
-   compare masses/moments against explicit enumeration of the Markov
-   chain's transition distribution. *)
+   compare the compiled expectation (first and second moments) against
+   explicit enumeration of the Markov chain's transition distribution. *)
 
 let transition_vars = 2 (* inputs; diagram has 4 variables *)
 
@@ -112,6 +112,12 @@ let transitions () =
     (fun x_i -> List.map (fun x_f -> (x_i, x_f)) (Util.assignments transition_vars))
     (Util.assignments transition_vars)
 
+(* The expectation pass over the compiled triple program; the second
+   moment is the expectation of the squared diagram. *)
+let compiled_expectation stats_point t =
+  Dd.Markov.expectation stats_point
+    (Dd.Compiled.to_repr (Dd.Compiled.compile ~vars:4 t))
+
 let test_markov_expectation =
   let arbitrary4 =
     QCheck.make ~print:(fun _ -> "<add4>")
@@ -130,10 +136,8 @@ let test_markov_expectation =
     (fun (spec, (sp, st)) ->
       let t = build spec in
       let stats_point = { Dd.Markov.sp; st } in
-      let tables = Dd.Markov.analyze stats_point t in
-      let _, e1, e2 =
-        Dd.Markov.node_moments tables (Dd.Add.node_id t) ~default:(0.0, 0.0)
-      in
+      let e1 = compiled_expectation stats_point t in
+      let e2 = compiled_expectation stats_point (Dd.Add.mul mgr t t) in
       let expected1 = ref 0.0 and expected2 = ref 0.0 in
       List.iter
         (fun (x_i, x_f) ->
@@ -149,10 +153,8 @@ let test_markov_uniform_matches_stats =
   Util.qtest ~count:100 "Markov at (0.5, 0.5) equals uniform statistics"
     arbitrary (fun spec ->
       let t = build spec in
-      let tables = Dd.Markov.analyze Dd.Markov.uniform t in
-      let _, e1, e2 =
-        Dd.Markov.node_moments tables (Dd.Add.node_id t) ~default:(0.0, 0.0)
-      in
+      let e1 = compiled_expectation Dd.Markov.uniform t in
+      let e2 = compiled_expectation Dd.Markov.uniform (Dd.Add.mul mgr t t) in
       let s = Dd.Add_stats.of_node t in
       Util.close ~eps:1e-6 e1 s.Dd.Add_stats.avg
       && Util.close ~eps:1e-6 (e2 -. (e1 *. e1)) s.Dd.Add_stats.variance)

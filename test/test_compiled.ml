@@ -249,6 +249,96 @@ let estimator_modes () =
          ~x_f:vectors.(k + 1))
   done
 
+(* ---- Triple programs: of_repr rebuilds what compile builds ---- *)
+
+type repr_case = {
+  seed : int;
+  inputs : int;
+  gates : int;
+  max_size : int option;
+  policy : Powermodel.Reorder.policy;
+}
+
+let repr_case =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun ((seed, inputs, gates), (max_size, policy)) ->
+        { seed; inputs; gates; max_size; policy })
+      (pair
+         (triple (int_bound 10_000) (int_range 2 7) (int_range 4 30))
+         (pair
+            (opt ~ratio:0.5 (int_range 8 60))
+            (oneofl Powermodel.Reorder.all)))
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "seed %d, %d inputs, %d gates, max %s, order %s" c.seed
+        c.inputs c.gates
+        (match c.max_size with Some m -> string_of_int m | None -> "-")
+        (Powermodel.Reorder.to_string c.policy))
+
+let same_repr what (a : Dd.Compiled.repr) (b : Dd.Compiled.repr) =
+  let bits v = Array.map Int64.bits_of_float v in
+  if
+    a.r_vars <> b.r_vars || a.r_order <> b.r_order || a.r_code <> b.r_code
+    || bits a.r_leaves <> bits b.r_leaves
+    || a.r_root <> b.r_root
+  then QCheck.Test.fail_reportf "%s: triple programs differ" what
+
+let same_batch what p q ~inputs ~n =
+  let bits prog =
+    Array.map Int64.bits_of_float (Dd.Compiled.eval_batch prog ~inputs ~n)
+  in
+  if bits p <> bits q then
+    QCheck.Test.fail_reportf "%s: eval_batch outputs differ" what
+
+let qcheck_of_repr =
+  Util.qtest ~count:40 "of_repr and a store round trip rebuild the program"
+    repr_case (fun c ->
+      let circuit =
+        Circuits.Random_logic.generate
+          {
+            Circuits.Random_logic.name = Printf.sprintf "repr%d" c.seed;
+            inputs = c.inputs;
+            gates = c.gates;
+            seed = c.seed;
+            window = 12;
+            support_cap = c.inputs;
+            max_outputs = 4;
+          }
+      in
+      let model =
+        Powermodel.Model.build ~reorder:c.policy ?max_size:c.max_size
+          ~strategy:Dd.Approx.Upper_bound circuit
+      in
+      let program =
+        Powermodel.Model.compiled_program (Powermodel.Model.compile model)
+      in
+      let repr = Dd.Compiled.to_repr program in
+      let rebuilt = Dd.Compiled.of_repr repr in
+      let path = Filename.temp_file "cfpm_repr" ".cfpm" in
+      let loaded =
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        match Store.save ~path model with
+        | Error e -> QCheck.Test.fail_report (Guard.Error.to_string e)
+        | Ok _ -> (
+          match Store.load path with
+          | Error e -> QCheck.Test.fail_report (Guard.Error.to_string e)
+          | Ok l ->
+            Powermodel.Model.compiled_program l.Store.compiled)
+      in
+      same_repr "of_repr" repr (Dd.Compiled.to_repr rebuilt);
+      same_repr "store" repr (Dd.Compiled.to_repr loaded);
+      let n = 700 in
+      let prng = Stimulus.Prng.create c.seed in
+      let inputs =
+        Bytes.init (n * Dd.Compiled.vars program) (fun _ ->
+            if Stimulus.Prng.bool prng ~p:0.5 then '\001' else '\000')
+      in
+      same_batch "of_repr" program rebuilt ~inputs ~n;
+      same_batch "store" program loaded ~inputs ~n;
+      true)
+
 let suite =
   [
     Alcotest.test_case "model equivalence" `Quick model_equivalence;
@@ -264,4 +354,5 @@ let suite =
     Alcotest.test_case "run_compiled matches run" `Quick
       run_compiled_matches_run;
     Alcotest.test_case "estimator modes" `Quick estimator_modes;
+    qcheck_of_repr;
   ]

@@ -547,6 +547,96 @@ let test_worst_meets_deadline_under_load () =
   | Some v -> Alcotest.(check (float 0.0)) "worst value" truth v
   | None -> Alcotest.failf "worst under load: non-numeric value in %s" raw
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent analysis.  Analytic requests read an immutable program,
+   so concurrent ones on one cached model answer the sequential bytes,
+   and a request's deadline budget stays with that request.           *)
+
+let analysis_fixture =
+  lazy
+    (let dir = temp_dir () in
+     at_exit (fun () -> try rm_rf dir with _ -> ());
+     let entry = Option.get (Circuits.Suite.find "cm150") in
+     let model = Powermodel.Model.build (entry.Circuits.Suite.build ()) in
+     ignore
+       (ok_or_fail "save"
+          (Store.save ~path:(Filename.concat dir "cm150.cfpm") model)
+         : Store.meta);
+     dir)
+
+let analysis_requests =
+  [
+    {|{"id":1,"op":"expectation","model":"cm150.cfpm"}|};
+    {|{"id":2,"op":"expectation","model":"cm150.cfpm","sp":0.3,"st":0.2}|};
+    {|{"id":3,"op":"worst","model":"cm150.cfpm","method":"add"}|};
+    {|{"id":4,"op":"sensitivities","model":"cm150.cfpm"}|};
+    {|{"id":5,"op":"expectation","model":"cm150.cfpm","sp":0.8,"st":0.1,"deadline_ms":60000}|};
+    {|{"id":6,"op":"sensitivities","model":"cm150.cfpm","deadline_ms":60000}|};
+  ]
+
+(* Run [rounds] passes of [requests] on each of [clients] threads
+   against one handler; returns every thread's answers in order. *)
+let concurrent_answers handler ~clients ~rounds requests =
+  let answers = Array.make clients [] in
+  let threads =
+    List.init clients (fun k ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to rounds do
+              List.iter
+                (fun r ->
+                  answers.(k) <-
+                    Serve.Handler.handle_string handler r :: answers.(k))
+                requests
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.map List.rev answers
+
+let test_concurrent_analysis_identity () =
+  let dir = Lazy.force analysis_fixture in
+  let sequential =
+    let h = Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ()) in
+    List.map (Serve.Handler.handle_string h) analysis_requests
+  in
+  List.iter
+    (fun raw ->
+      match Json.member "ok" (parse_response "sequential" raw) with
+      | Some (Json.Bool true) -> ()
+      | _ -> Alcotest.failf "sequential answer is an error: %s" raw)
+    sequential;
+  let shared = Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ()) in
+  let answers =
+    concurrent_answers shared ~clients:4 ~rounds:2 analysis_requests
+  in
+  Array.iteri
+    (fun k got ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "client %d answers" k)
+        (sequential @ sequential) got)
+    answers
+
+(* The ambient budget slot is shared by every thread of a domain; serve
+   workers are threads.  Concurrent deadline requests must not leave a
+   budget installed once they have all finished. *)
+let test_deadline_budget_does_not_leak () =
+  let dir = Lazy.force analysis_fixture in
+  Guard.Budget.reset_ambient ();
+  let h =
+    Serve.Handler.create ~jobs:1 ~deadline:60.0
+      (Serve.Cache.create ~root:dir ())
+  in
+  ignore
+    (concurrent_answers h ~clients:4 ~rounds:3
+       [
+         {|{"id":1,"op":"sensitivities","model":"cm150.cfpm"}|};
+         {|{"id":2,"op":"expectation","model":"cm150.cfpm","deadline_ms":60000}|};
+       ]);
+  let leaked = Option.is_some (Guard.Budget.ambient ()) in
+  Guard.Budget.reset_ambient ();
+  Alcotest.(check bool) "no ambient budget after the requests" false leaked
+
 let test_graceful_stop () =
   let dir, _, _ = Lazy.force fixture in
   let cache = Serve.Cache.create ~root:dir () in
@@ -803,10 +893,8 @@ let eval_batch_matches_reference c =
   let dir, handler = Lazy.force batch_fixture in
   let path = Filename.concat dir (model_name c) in
   if not (Sys.file_exists path) then begin
-    (* The ambient budget slot is per domain, and the handler threads of
-       earlier tests share this one: concurrent deadline requests can
-       leave one of their budgets installed.  It belongs to no request
-       here, so it must not abort the build. *)
+    (* No budget belongs to this build: clear the domain's ambient slot
+       so nothing an earlier test left there can abort it. *)
     Guard.Budget.reset_ambient ();
     let model =
       Powermodel.Model.build ?max_size:c.max_size
@@ -855,6 +943,10 @@ let suite =
       `Quick test_worst_pbo_needs_resolver;
     Alcotest.test_case "worst meets the deadline under eval traffic"
       `Quick test_worst_meets_deadline_under_load;
+    Alcotest.test_case "concurrent analysis answers the sequential bytes"
+      `Quick test_concurrent_analysis_identity;
+    Alcotest.test_case "deadline budgets do not leak across requests"
+      `Quick test_deadline_budget_does_not_leak;
     Alcotest.test_case "graceful stop drains and unlinks" `Quick
       test_graceful_stop;
     Alcotest.test_case "TCP round trips are prompt and byte-identical"
