@@ -1036,14 +1036,18 @@ let stream_cmd =
   in
   let shed_arg =
     let doc =
-      "Shed vectors when the ingest queue is full (typed \
+      "Shed records when the ingest queue is full (typed \
        $(b,reason=overloaded) backpressure) instead of blocking the \
-       producer."
+       producer; records cross the queue in blocks of 512, so a whole \
+       block is shed and each of its records counts."
     in
     Arg.(value & flag & info [ "shed" ] ~doc)
   in
   let queue_arg =
-    let doc = "Ingest queue capacity." in
+    let doc =
+      "Ingest queue capacity in records, rounded up to whole 512-record \
+       blocks."
+    in
     Arg.(value & opt int 4096 & info [ "queue" ] ~docv:"N" ~doc)
   in
   let sim_every_arg =

@@ -42,9 +42,106 @@ let switched_capacitance_of_values t before after =
   done;
   !total
 
+(* --- the word-parallel kernel --------------------------------------
+
+   Net values are held as [int] words, one pattern per bit ([lanes] =
+   63 per word), and each gate is one bitwise expression over its input
+   words.  A pattern's switched capacitance is charged net by net in
+   ascending net order, starting from [0.0] — the order
+   [switched_capacitance_of_values] adds in — so every per-pattern sum
+   is bit-identical to the boolean reference. *)
+
+let lanes = Sys.int_size
+
+let rec conj w ins j acc =
+  if j < 0 then acc else conj w ins (j - 1) (acc land w.(ins.(j)))
+
+let rec disj w ins j acc =
+  if j < 0 then acc else disj w ins (j - 1) (acc lor w.(ins.(j)))
+
+(* Evaluate every gate over the word array [w], whose input words are
+   already set. *)
+let eval_words t w =
+  Array.iter
+    (fun { Netlist.Circuit.out; kind; ins } ->
+      let last = Array.length ins - 1 in
+      w.(out) <-
+        (match kind with
+        | Netlist.Cell.Const b -> if b then -1 else 0
+        | Buf -> w.(ins.(0))
+        | Inv -> lnot w.(ins.(0))
+        | And _ -> conj w ins last (-1)
+        | Nand _ -> lnot (conj w ins last (-1))
+        | Or _ -> disj w ins last 0
+        | Nor _ -> lnot (disj w ins last 0)
+        | Xor -> w.(ins.(0)) lxor w.(ins.(1))
+        | Xnor -> lnot (w.(ins.(0)) lxor w.(ins.(1)))
+        | Mux ->
+          (* ins = [| a; b; s |]: b where s is set, a elsewhere *)
+          let s = w.(ins.(2)) in
+          (s land w.(ins.(1))) lor (lnot s land w.(ins.(0)))))
+    t.circuit.Netlist.Circuit.gates
+
+(* Words of [w] for input vectors [get 0 .. get (npat - 1)], lane k
+   holding vector k, then every gate evaluated. *)
+let eval_lanes t w get npat =
+  let n = Netlist.Circuit.input_count t.circuit in
+  Array.fill w 0 n 0;
+  for k = 0 to npat - 1 do
+    let x = get k in
+    if Array.length x <> n then
+      invalid_arg
+        (Printf.sprintf "Simulator: expected %d inputs, got %d" n
+           (Array.length x));
+    let bit = 1 lsl k in
+    for i = 0 to n - 1 do
+      if x.(i) then w.(i) <- w.(i) lor bit
+    done
+  done;
+  eval_words t w
+
+(* Add the load of every gate output rising in lane k (< npat) to
+   [out.(base + k)]; the after-value of lane k is lane [k + shift] of
+   [after]. *)
+let charge t ~before ~after ~shift out ~base npat =
+  let mask = if npat >= lanes then -1 else (1 lsl npat) - 1 in
+  for net = Netlist.Circuit.input_count t.circuit to Array.length before - 1 do
+    let rising = ref (lnot before.(net) land (after.(net) lsr shift) land mask) in
+    if !rising <> 0 then begin
+      let load = t.loads.(net) in
+      let k = ref base in
+      while !rising <> 0 do
+        if !rising land 0xff = 0 then begin
+          rising := !rising lsr 8;
+          k := !k + 8
+        end
+        else begin
+          if !rising land 1 <> 0 then out.(!k) <- out.(!k) +. load;
+          rising := !rising lsr 1;
+          incr k
+        end
+      done
+    end
+  done
+
+let switched_capacitance_batch t pairs =
+  let count = Array.length pairs in
+  let out = Array.make count 0.0 in
+  let nets = t.circuit.Netlist.Circuit.net_count in
+  let before = Array.make nets 0 and after = Array.make nets 0 in
+  let base = ref 0 in
+  while !base < count do
+    let b = !base in
+    let npat = Int.min lanes (count - b) in
+    eval_lanes t before (fun k -> fst pairs.(b + k)) npat;
+    eval_lanes t after (fun k -> snd pairs.(b + k)) npat;
+    charge t ~before ~after ~shift:0 out ~base:b npat;
+    base := b + npat
+  done;
+  out
+
 let switched_capacitance t x_i x_f =
-  let before = eval t x_i and after = eval t x_f in
-  switched_capacitance_of_values t before after
+  (switched_capacitance_batch t [| (x_i, x_f) |]).(0)
 
 let energy ?(vdd = default_vdd) t x_i x_f =
   vdd *. vdd *. switched_capacitance t x_i x_f
@@ -57,20 +154,29 @@ type run = {
   per_pattern : float array;
 }
 
+(* A sequence shares endpoints: one word evaluation of [lanes]
+   consecutive vectors gives [lanes - 1] transitions, lane k before and
+   lane k + 1 after. *)
 let run t vectors =
   let count = Array.length vectors in
   if count < 2 then invalid_arg "Simulator.run: need at least two vectors";
   let per_pattern = Array.make (count - 1) 0.0 in
-  let values = ref (eval t vectors.(0)) in
-  let total = ref 0.0 and maximum = ref 0.0 in
-  for k = 1 to count - 1 do
-    let next = eval t vectors.(k) in
-    let c = switched_capacitance_of_values t !values next in
-    per_pattern.(k - 1) <- c;
-    total := !total +. c;
-    if c > !maximum then maximum := c;
-    values := next
+  let values = Array.make t.circuit.Netlist.Circuit.net_count 0 in
+  let base = ref 0 in
+  while !base < count - 1 do
+    let b = !base in
+    let width = Int.min lanes (count - b) in
+    eval_lanes t values (fun k -> vectors.(b + k)) width;
+    charge t ~before:values ~after:values ~shift:1 per_pattern ~base:b
+      (width - 1);
+    base := b + width - 1
   done;
+  let total = ref 0.0 and maximum = ref 0.0 in
+  Array.iter
+    (fun c ->
+      total := !total +. c;
+      if c > !maximum then maximum := c)
+    per_pattern;
   {
     patterns = count - 1;
     average = !total /. float_of_int (count - 1);

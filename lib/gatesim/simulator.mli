@@ -29,11 +29,23 @@ val eval_outputs : t -> bool array -> bool array
 val switched_capacitance : t -> bool array -> bool array -> float
 (** [switched_capacitance t x_i x_f] is the total load (fF) of gate outputs
     rising in the transition — the golden value the paper's
-    [C(x_i, x_f)] models. *)
+    [C(x_i, x_f)] models.  A batch of one through
+    {!switched_capacitance_batch}. *)
+
+val switched_capacitance_batch :
+  t -> (bool array * bool array) array -> float array
+(** [switched_capacitance_batch t pairs] is [switched_capacitance] of
+    every [(x_i, x_f)] pair, in order, computed word-parallel: net
+    values are held as [int] words with one pattern per bit (63 per
+    word) and each gate is one bitwise expression.  Each pattern's loads
+    are summed in ascending net order from [0.0], so every value is
+    bit-identical to {!switched_capacitance_of_values} over {!eval}.
+    Raises [Invalid_argument] when a vector's length is not the input
+    count. *)
 
 val switched_capacitance_of_values : t -> bool array -> bool array -> float
-(** Same, from precomputed net-value arrays (avoids re-evaluating shared
-    endpoints when sweeping a sequence). *)
+(** Same as {!switched_capacitance}, from precomputed net-value arrays —
+    the boolean reference the word-parallel kernel is checked against. *)
 
 val energy : ?vdd:float -> t -> bool array -> bool array -> float
 (** [Vdd^2 * C], in fJ when loads are fF. *)
@@ -50,7 +62,9 @@ type run = {
 
 val run : t -> bool array array -> run
 (** Simulate a vector sequence (at least two vectors) and account every
-    consecutive transition. *)
+    consecutive transition, through the word-parallel kernel of
+    {!switched_capacitance_batch}; [total] and [maximum] fold
+    [per_pattern] in pattern order. *)
 
 val average_power : ?vdd:float -> period:float -> run -> float
 (** Mean supply power for a clock period in seconds (fJ/s when loads are

@@ -53,6 +53,14 @@ let rates ~sp ~st =
   | Ok r -> r
   | Error err -> invalid_arg ("Generator.rates: " ^ err.Guard.Error.what)
 
+(* The chain itself: one draw per bit, bits in ascending order. *)
+let first prng ~bits ~sp = Array.init bits (fun _ -> Prng.bool prng ~p:sp)
+
+let step prng ~p01 ~p10 prev =
+  Array.map
+    (fun b -> if b then not (Prng.bool prng ~p:p10) else Prng.bool prng ~p:p01)
+    prev
+
 let sequence_checked prng ~bits ~length ~sp ~st =
   match check_shape ~bits ~length with
   | Error _ as e -> e
@@ -60,14 +68,9 @@ let sequence_checked prng ~bits ~length ~sp ~st =
     match rates_checked ~sp ~st with
     | Error _ as e -> e
     | Ok (p01, p10) ->
-      let first = Array.init bits (fun _ -> Prng.bool prng ~p:sp) in
-      let vectors = Array.make length first in
+      let vectors = Array.make length (first prng ~bits ~sp) in
       for k = 1 to length - 1 do
-        let prev = vectors.(k - 1) in
-        vectors.(k) <-
-          Array.init bits (fun i ->
-              if prev.(i) then not (Prng.bool prng ~p:p10)
-              else Prng.bool prng ~p:p01)
+        vectors.(k) <- step prng ~p01 ~p10 vectors.(k - 1)
       done;
       Ok vectors)
 

@@ -20,6 +20,15 @@ val rates_checked :
     {!Guard.Error} (carrying the offending [sp]/[st]) instead of an
     exception. *)
 
+val first : Prng.t -> bits:int -> sp:float -> bool array
+(** The chain's first vector, each bit drawn at the stationary [sp]. *)
+
+val step : Prng.t -> p01:float -> p10:float -> bool array -> bool array
+(** One step of the per-bit chain from [prev] with the {!rates} of the
+    target statistics: a 0 bit rises with probability [p01], a 1 bit
+    falls with probability [p10].  One draw per bit, in bit order — the
+    draw order {!sequence} and the stream generator source share. *)
+
 val sequence :
   Prng.t -> bits:int -> length:int -> sp:float -> st:float ->
   bool array array

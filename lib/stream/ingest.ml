@@ -1,9 +1,7 @@
-(* Bounded producer/consumer queue: mutex + two conditions.  The shed
-   counter is also mirrored on the metrics registry as [stream.sheds] —
-   marked local, because shedding depends on scheduling, not on the
-   workload. *)
-
-let m_sheds = Obs.Metrics.metric ~local:true "stream.sheds"
+(* Bounded producer/consumer queue: mutex + two conditions.  Every
+   critical section below is plain lock/unlock: nothing between the two
+   can raise (the waits, the queue operations and building an error
+   value do not), so no unwinding closure is needed. *)
 
 type policy = Block | Shed
 
@@ -33,13 +31,15 @@ let create ?(capacity = 1024) policy =
 
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  let r = f () in
+  Mutex.unlock t.lock;
+  r
 
 let overloaded t =
   Guard.Error.resource
     ~context:
       [ ("reason", "overloaded"); ("capacity", string_of_int t.capacity) ]
-    "ingest queue full, vector shed"
+    "ingest queue full, item shed"
 
 let push t x =
   locked t (fun () ->
@@ -56,7 +56,6 @@ let push t x =
           Error (Guard.Error.validation "push to a closed ingest queue")
         else if Queue.length t.items >= t.capacity then begin
           t.shed_count <- t.shed_count + 1;
-          Obs.Metrics.incr m_sheds;
           Error (overloaded t)
         end
         else begin

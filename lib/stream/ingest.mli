@@ -1,15 +1,16 @@
 (** Bounded ingest queue with typed backpressure.
 
     The producer (a source-reader thread) and the consumer (the
-    telemetry fold) meet here.  The queue is bounded, and the [policy]
+    telemetry fold) meet here; the pipeline moves whole blocks of
+    records as one item.  The queue is bounded, and the [policy]
     decides what a full queue does to a producer:
 
     - {!Block}: the push waits — lossless, and the deterministic choice
       for identity checks (every vector reaches the statistics);
     - {!Shed}: the push fails immediately with a typed [Resource] error
       ([reason=overloaded], the same shape {!Serve.Server} sheds
-      connections with) and the item is dropped; sheds are counted here
-      and on the [stream.sheds] metric.
+      connections with) and the item is dropped; {!sheds} counts the
+      dropped items.
 
     Close-to-drain: {!close} lets the consumer finish the backlog;
     {!pop} returns [None] only once the queue is closed {e and} empty. *)

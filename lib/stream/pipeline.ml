@@ -1,7 +1,8 @@
 (* The streaming fold.
 
-   One producer thread reads the source into a bounded queue; the
-   calling thread consumes in fixed flush quanta.  Everything that can
+   One producer thread reads the source into a bounded queue, one block
+   of [Stats.shard_block] records per queue item; the calling thread
+   consumes in fixed flush quanta.  Everything that can
    affect the statistics is scheduled by counts (flush quantum, drift
    windows, refit stride, checkpoint seams), so the deterministic subset
    of the outcome is a pure function of (source, config) — whatever the
@@ -12,6 +13,9 @@ let m_vectors = Obs.Metrics.metric "stream.vectors"
 let m_drift = Obs.Metrics.metric "stream.drift_events"
 let m_checkpoints = Obs.Metrics.metric "stream.checkpoints"
 let m_quarantined = Obs.Metrics.metric "stream.quarantined"
+
+(* local: shedding depends on scheduling, not on the workload *)
+let m_sheds = Obs.Metrics.metric ~local:true "stream.sheds"
 
 type config = {
   name : string;
@@ -220,6 +224,8 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       Error (Guard.Error.validation "checkpoint_every must be >= 1")
     else if cfg.sim_every < 0 then
       Error (Guard.Error.validation "sim_every must be >= 0")
+    else if cfg.queue_capacity < 1 then
+      Error (Guard.Error.validation "queue_capacity must be >= 1")
     else Ok ()
   in
   let* weight = Weight.validate cfg.weight in
@@ -240,12 +246,13 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
   let power ~x_i ~x_f =
     Powermodel.Model.switched_capacitance_compiled compiled ~x_i ~x_f
   in
-  (* ground truth for refit samples: gate-level simulation when
-     available, else the exact/approximate model itself *)
-  let label =
+  (* ground truth for refit samples, one batch per flush: gate-level
+     simulation when available, else the exact/approximate model
+     itself *)
+  let label_batch =
     match simulator with
-    | Some sim -> fun prev v -> Gatesim.Simulator.switched_capacitance sim prev v
-    | None -> fun prev v -> power ~x_i:prev ~x_f:v
+    | Some sim -> Gatesim.Simulator.switched_capacitance_batch sim
+    | None -> Array.map (fun (x_i, x_f) -> power ~x_i ~x_f)
   in
   (* --- recover ----------------------------------------------------- *)
   let* restored =
@@ -286,20 +293,44 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
         0 )
   in
   let t_start = Guard.Budget.now () in
-  let queue = Ingest.create ~capacity:cfg.queue_capacity cfg.policy in
+  (* records cross the queue in blocks; the capacity stays a bound in
+     records, rounded up to whole blocks *)
+  let block = Stats.shard_block in
+  let queue =
+    Ingest.create ~capacity:((cfg.queue_capacity + block - 1) / block) cfg.policy
+  in
+  let shed = ref 0 in
+  let read_block () =
+    let items = Array.make block (Source.Malformed "") in
+    let rec fill k =
+      if k = block then k
+      else
+        match Source.next source with
+        | Some item ->
+          items.(k) <- item;
+          fill (k + 1)
+        | None -> k
+    in
+    let n = fill 0 in
+    if n = block then items else Array.sub items 0 n
+  in
   let producer =
     Thread.create
       (fun () ->
+        (* a short block means the source is exhausted *)
         let rec loop () =
-          match Source.next source with
-          | None -> ()
-          | Some item -> (
-            match Ingest.push queue item with
-            | Ok () -> loop ()
+          let items = read_block () in
+          let n = Array.length items in
+          if n > 0 then
+            match Ingest.push queue items with
+            | Ok () -> if n = block then loop ()
             | Error e when Guard.Error.context_value e "reason" = Some "overloaded"
               ->
-              loop ()  (* shed: the vector is dropped, the stream goes on *)
-            | Error _ -> ()  (* queue closed under us: stop reading *))
+              (* shed: the block's records are dropped, the stream goes on *)
+              shed := !shed + n;
+              Obs.Metrics.add m_sheds n;
+              if n = block then loop ()
+            | Error _ -> ()  (* queue closed under us: stop reading *)
         in
         loop ();
         Ingest.close queue)
@@ -385,36 +416,52 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       attempt 0;
       last_ckpt := Stats.vectors stats
   in
-  (* one flush: the sharded stats fold plus the sequential drift/refit
-     walk, all inside the [stream_ingest] fault boundary so an injected
-     failure retries the whole quantum before anything was committed *)
+  (* one flush: the sharded stats fold, one labelling batch for the
+     flush's refit samples, then the sequential drift/refit walk, all
+     inside the [stream_ingest] fault boundary so an injected failure
+     retries the whole quantum before anything was committed *)
   let flush chunk =
     let idx = !flush_idx in
     incr flush_idx;
+    let n = Array.length chunk in
     let body () =
       Guard.Fault.inject "stream_ingest";
       Obs.Trace.with_span "stream.flush"
-        ~args:(fun () ->
-          [ ("vectors", Json.Int (Array.length chunk)); ("flush", Json.Int idx) ])
+        ~args:(fun () -> [ ("vectors", Json.Int n); ("flush", Json.Int idx) ])
         (fun () ->
           Stats.consume ?jobs:cfg.jobs ~power stats chunk;
-          Array.iter
-            (fun v ->
-              (match !prev with
-              | Some p ->
-                let tr = !trans_seen in
-                incr trans_seen;
-                if cfg.sim_every > 0 && tr mod cfg.sim_every = 0 then
-                  Refit.observe refit
-                    ~row:(Powermodel.Baselines.transition_features p v)
-                    ~value:(label p v)
-              | None -> ());
-              prev := Some v;
+          (* the transition ending at chunk.(k) starts at chunk.(k - 1),
+             or at the previous flush's last vector when k = 0; its
+             stream index is t0 + k *)
+          let start = !prev in
+          let t0 = if Option.is_none start then !trans_seen - 1 else !trans_seen in
+          let from k = if k = 0 then Option.get start else chunk.(k - 1) in
+          let sampled k =
+            cfg.sim_every > 0
+            && (k > 0 || Option.is_some start)
+            && (t0 + k) mod cfg.sim_every = 0
+          in
+          let samples = ref [] in
+          for k = n - 1 downto 0 do
+            if sampled k then samples := (from k, chunk.(k)) :: !samples
+          done;
+          let labels = label_batch (Array.of_list !samples) in
+          let next = ref 0 in
+          Array.iteri
+            (fun k v ->
+              if sampled k then begin
+                Refit.observe refit
+                  ~row:(Powermodel.Baselines.transition_features (from k) v)
+                  ~value:labels.(!next);
+                incr next
+              end;
               match Drift.observe drift v with
               | Some ev -> handle_event ev
               | None -> ())
             chunk;
-          Obs.Metrics.add m_vectors (Array.length chunk))
+          trans_seen := t0 + n;
+          prev := Some chunk.(n - 1);
+          Obs.Metrics.add m_vectors n)
     in
     let rec attempt k =
       match
@@ -450,19 +497,29 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       buffered := 0
     end
   in
+  (* flushes are cut at exactly [flush_quantum] valid vectors, wherever
+     the blocks begin and end *)
+  let take = function
+    | Source.Vector v ->
+      buffer.(!buffered) <- v;
+      incr buffered;
+      if !buffered = flush_quantum then drain_buffer ()
+    | Source.Malformed _ ->
+      incr quarantined;
+      Obs.Metrics.incr m_quarantined
+  in
   let rec consume () =
-    if !stopped <> None then ()
-    else
+    if !stopped = None then
       match Ingest.pop queue with
       | None -> ()
-      | Some (Source.Vector v) ->
-        buffer.(!buffered) <- v;
-        incr buffered;
-        if !buffered = flush_quantum then drain_buffer ();
-        consume ()
-      | Some (Source.Malformed _) ->
-        incr quarantined;
-        Obs.Metrics.incr m_quarantined;
+      | Some items ->
+        let rec each k =
+          if k < Array.length items && !stopped = None then begin
+            take items.(k);
+            each (k + 1)
+          end
+        in
+        each 0;
         consume ()
   in
   let outcome =
@@ -490,7 +547,7 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       stats;
       events = List.rev !events;
       quarantined = !quarantined;
-      sheds = Ingest.sheds queue;
+      sheds = !shed;
       checkpoints = !checkpoints;
       checkpoint_failures = !checkpoint_failures;
       ingest_retries = !ingest_retries;

@@ -11,9 +11,10 @@
     {b Determinism.}  Vectors are folded in fixed flush quanta (a
     multiple of {!Stats.shard_block}), so block boundaries, drift
     windows, refit sampling and checkpoint positions depend only on
-    counts — never on queue timing or worker count.  Under the [Block]
-    ingest policy the deterministic subset of the result
-    ({!stats_json}) is byte-identical across [CFPM_JOBS] values {e and}
+    counts — never on queue timing, on how records were grouped into
+    ingest blocks, or on worker count.  Under the [Block] ingest policy
+    the deterministic subset of the result ({!stats_json}) is
+    byte-identical across [CFPM_JOBS] values {e and}
     across a SIGKILL + resume, because a checkpoint is only written at
     a flush seam and a resumed run replays from the last good one.
 
@@ -31,6 +32,8 @@ type config = {
   drift : Drift.config;
   policy : Ingest.policy;
   queue_capacity : int;
+      (** ingest bound in records (>= 1), held as whole
+          {!Stats.shard_block}-record blocks *)
   checkpoint : string option;  (** journal path *)
   checkpoint_every : int;  (** vectors between checkpoints *)
   resume : bool;  (** recover the checkpoint journal before consuming *)
@@ -63,7 +66,7 @@ type outcome = {
   stats : Stats.t;
   events : event list;  (** chronological *)
   quarantined : int;
-  sheds : int;
+  sheds : int;  (** records dropped under [Shed], a whole block at a time *)
   checkpoints : int;  (** successful checkpoint appends this process *)
   checkpoint_failures : int;
   ingest_retries : int;  (** flush retries under injected faults *)

@@ -12,7 +12,7 @@ type item = Vector of bool array | Malformed of string
 type gen = {
   prng : Stimulus.Prng.t;
   phases : (float * float * int) array;  (** (p01, p10, count) *)
-  g_sp : float array;  (** first-vector stationary probability per phase *)
+  sp0 : float;  (** the first phase's sp, where the first vector is drawn *)
   mutable phase : int;
   mutable emitted : int;  (** vectors emitted within the current phase *)
   mutable prev : bool array option;
@@ -45,7 +45,6 @@ let generator ~seed ~bits phases =
         (Ok []) phases
     in
     let phase_arr = Array.of_list (List.rev rates) in
-    let sp_arr = Array.of_list (List.map (fun p -> p.sp) phases) in
     Ok
       {
         width = bits;
@@ -54,7 +53,7 @@ let generator ~seed ~bits phases =
             {
               prng = Stimulus.Prng.create seed;
               phases = phase_arr;
-              g_sp = sp_arr;
+              sp0 = (List.hd phases).sp;
               phase = 0;
               emitted = 0;
               prev = None;
@@ -79,12 +78,8 @@ let gen_next width g =
     let p01, p10, count = g.phases.(g.phase) in
     let v =
       match g.prev with
-      | None ->
-        Array.init width (fun _ -> Stimulus.Prng.bool g.prng ~p:g.g_sp.(0))
-      | Some prev ->
-        Array.init width (fun i ->
-            if prev.(i) then not (Stimulus.Prng.bool g.prng ~p:p10)
-            else Stimulus.Prng.bool g.prng ~p:p01)
+      | None -> Stimulus.Generator.first g.prng ~bits:width ~sp:g.sp0
+      | Some prev -> Stimulus.Generator.step g.prng ~p01 ~p10 prev
     in
     g.prev <- Some v;
     g.emitted <- g.emitted + 1;

@@ -109,6 +109,114 @@ let run_needs_two () =
     (Invalid_argument "Simulator.run: need at least two vectors") (fun () ->
       ignore (Gatesim.Simulator.run sim [| vec true true |]))
 
+(* ---- the word-parallel kernel against the boolean reference ---- *)
+
+(* Every cell kind at least once, Const both ways, arities 2-4, Mux;
+   gates read a mix of inputs and earlier gate outputs. *)
+let every_kind () =
+  let b = Netlist.Builder.create ~name:"kinds" in
+  let x = Netlist.Builder.inputs b "x" 5 in
+  let nets = ref (Array.to_list x) in
+  let pick k = List.nth !nets (k mod List.length !nets) in
+  List.iteri
+    (fun j kind ->
+      let out =
+        match kind with
+        | Netlist.Cell.Const v -> Netlist.Builder.const b v
+        | kind ->
+          Netlist.Builder.gate b kind
+            (Array.init (Netlist.Cell.arity kind) (fun i -> pick ((3 * j) + i)))
+      in
+      nets := !nets @ [ out ];
+      Netlist.Builder.output b (Printf.sprintf "g%d" j) out)
+    Netlist.Cell.all_kinds;
+  Netlist.Builder.finish b
+
+let batch_lengths = [ 0; 1; 61; 62; 63; 64; 127; 200 ]
+
+let bits_of a = Array.map Int64.bits_of_float a
+
+(* The batch, every [run] field and the single-pair entry point must
+   carry the same float bits as the scalar fold over [eval]. *)
+let check_sim what sim prng =
+  let n = Netlist.Circuit.input_count (Gatesim.Simulator.circuit sim) in
+  let vec () = Array.init n (fun _ -> Stimulus.Prng.bool prng ~p:0.5) in
+  let scalar x_i x_f =
+    Gatesim.Simulator.switched_capacitance_of_values sim
+      (Gatesim.Simulator.eval sim x_i)
+      (Gatesim.Simulator.eval sim x_f)
+  in
+  List.iter
+    (fun len ->
+      let pairs = Array.init len (fun _ -> (vec (), vec ())) in
+      let expected = Array.map (fun (a, b) -> scalar a b) pairs in
+      let got = Gatesim.Simulator.switched_capacitance_batch sim pairs in
+      if bits_of got <> bits_of expected then
+        QCheck.Test.fail_reportf "%s: batch of %d differs from eval" what len;
+      Array.iteri
+        (fun k (a, b) ->
+          if
+            Int64.bits_of_float (Gatesim.Simulator.switched_capacitance sim a b)
+            <> Int64.bits_of_float expected.(k)
+          then QCheck.Test.fail_reportf "%s: single pair %d differs" what k)
+        pairs;
+      if len >= 1 then begin
+        let vectors = Array.init (len + 1) (fun _ -> vec ()) in
+        let per =
+          Array.init len (fun k -> scalar vectors.(k) vectors.(k + 1))
+        in
+        let total = Array.fold_left ( +. ) 0.0 per in
+        let maximum = Array.fold_left Float.max 0.0 per in
+        let r = Gatesim.Simulator.run sim vectors in
+        if
+          bits_of r.Gatesim.Simulator.per_pattern <> bits_of per
+          || Int64.bits_of_float r.total <> Int64.bits_of_float total
+          || Int64.bits_of_float r.maximum <> Int64.bits_of_float maximum
+          || r.patterns <> len
+        then QCheck.Test.fail_reportf "%s: run over %d vectors differs" what (len + 1)
+      end)
+    batch_lengths;
+  true
+
+(* The library's loads are multiples of 0.5 fF, whose sums are exact in
+   any order; the second simulator's loads are not, so it also pins the
+   ascending-net summation order. *)
+let check_kernel what circuit seed =
+  let prng = Stimulus.Prng.create seed in
+  let odd_loads =
+    Array.init circuit.Netlist.Circuit.net_count (fun _ ->
+        0.1 +. (37.3 *. Stimulus.Prng.float prng))
+  in
+  List.for_all
+    (fun sim -> check_sim what sim prng)
+    [ Gatesim.Simulator.create circuit; Gatesim.Simulator.create ~loads:odd_loads circuit ]
+
+let kernel_every_kind () =
+  ignore (check_kernel "every kind" (every_kind ()) 11)
+
+let qcheck_kernel =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 2 14) (int_range 1 60) (int_range 0 100_000))
+  in
+  Util.qtest ~count:40 "bit-sliced kernel equals eval on random logic"
+    (QCheck.make gen ~print:(fun (i, g, s) ->
+         Printf.sprintf "%d inputs, %d gates, seed %d" i g s))
+    (fun (inputs, gates, seed) ->
+      let circuit =
+        Circuits.Random_logic.generate
+          {
+            Circuits.Random_logic.name = Printf.sprintf "sim%d" seed;
+            inputs;
+            gates;
+            seed;
+            window = 12;
+            support_cap = inputs;
+            max_outputs = 4;
+          }
+      in
+      check_kernel (Printf.sprintf "seed %d" seed) circuit seed)
+
 let suite =
   [
     Alcotest.test_case "paper Fig. 2 table" `Quick paper_example;
@@ -119,4 +227,7 @@ let suite =
     Alcotest.test_case "worst case guard" `Quick worst_case_guard;
     Alcotest.test_case "only rising edges charge" `Quick inputs_not_counted;
     Alcotest.test_case "run needs two vectors" `Quick run_needs_two;
+    Alcotest.test_case "bit-sliced kernel covers every cell kind" `Quick
+      kernel_every_kind;
+    qcheck_kernel;
   ]

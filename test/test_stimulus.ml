@@ -89,6 +89,42 @@ let uniform_pair_shape () =
   Alcotest.(check int) "a bits" 8 (Array.length a);
   Alcotest.(check int) "b bits" 8 (Array.length b)
 
+(* One Markov chain, two callers: the bits of a fixed sequence are
+   pinned (a change of draw order changes them even where the
+   statistics would not notice), and a one-phase stream generator
+   source yields the very same vectors. *)
+let one_markov_chain () =
+  let show v =
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun x -> String.init (Array.length x) (fun i -> if x.(i) then '1' else '0'))
+            v))
+  in
+  let v =
+    Stimulus.Generator.sequence (Stimulus.Prng.create 42) ~bits:8 ~length:16
+      ~sp:0.3 ~st:0.2
+  in
+  Alcotest.(check string) "pinned bits"
+    "01101010 01001010 11101110 00101110 00100011 00000000 00000010 00010011 \
+     00000011 00001001 10001001 10000000 10000000 11000010 01000010 01010100"
+    (show v);
+  match
+    Stream.Source.generator ~seed:42 ~bits:8
+      [ { Stream.Source.sp = 0.3; st = 0.2; count = 16 } ]
+  with
+  | Error e -> Alcotest.fail (Guard.Error.to_string e)
+  | Ok source ->
+    let streamed =
+      Array.init 16 (fun _ ->
+          match Stream.Source.next source with
+          | Some (Stream.Source.Vector x) -> x
+          | _ -> Alcotest.fail "source ended early")
+    in
+    Alcotest.(check string) "stream source draws the same chain" (show v)
+      (show streamed);
+    Alcotest.(check bool) "and then ends" true (Stream.Source.next source = None)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick prng_deterministic;
@@ -101,5 +137,7 @@ let suite =
     Alcotest.test_case "empirical sp/st converge" `Slow statistics_converge;
     Alcotest.test_case "sequence shapes" `Quick sequence_shapes;
     Alcotest.test_case "uniform pair" `Quick uniform_pair_shape;
+    Alcotest.test_case "one Markov chain for sequences and streams" `Quick
+      one_markov_chain;
     prng_float_range;
   ]

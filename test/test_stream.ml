@@ -474,6 +474,147 @@ let pipeline_quarantines_malformed () =
   Alcotest.(check int) "vectors counted" 294
     (Stream.Stats.vectors o.Stream.Pipeline.stats)
 
+(* Records cross the ingest queue in blocks of [Stats.shard_block], but
+   flushes are cut by valid-vector counts: the statistics must not see
+   the queue capacity (in vectors, rounded up to whole blocks) or the
+   job count.  The file source puts malformed lines on both sides of
+   block and flush boundaries and ends on a short block; it is labelled
+   at gate level on every third transition and switches regime midway,
+   so the drift event's Lin errors depend on every batch label. *)
+let pipeline_queue_capacity_identity () =
+  let circuit, model, bits = Lazy.force fixture in
+  let simulator = Gatesim.Simulator.create circuit in
+  let path = Filename.temp_file "cfpm_stream_blocks" ".txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  let block = Stream.Stats.shard_block and quantum = Stream.Pipeline.flush_quantum in
+  let malformed =
+    [ block - 1; block; (2 * block) + 1; quantum - 2; quantum; quantum + 1; (2 * quantum) + 3 ]
+  in
+  let records = (2 * quantum) + 700 in
+  let prng = Stimulus.Prng.create 11 in
+  Out_channel.with_open_text path (fun oc ->
+      for i = 0 to records - 1 do
+        if List.mem i malformed then output_string oc "01x\n"
+        else begin
+          let p = if i < records / 2 then 0.2 else 0.85 in
+          for _ = 1 to bits do
+            output_char oc (if Stimulus.Prng.bool prng ~p then '1' else '0')
+          done;
+          output_char oc '\n'
+        end
+      done);
+  let file_run queue_capacity jobs =
+    let source = ok_or_fail "file source" (Stream.Source.of_file ~path ~bits) in
+    let cfg = { (pipeline_cfg jobs) with queue_capacity; sim_every = 3 } in
+    ok_or_fail "pipeline" (Stream.Pipeline.run ~simulator cfg ~model ~source)
+  in
+  let file_ref = file_run 4096 1 in
+  Alcotest.(check int) "malformed lines quarantined" (List.length malformed)
+    file_ref.Stream.Pipeline.quarantined;
+  Alcotest.(check bool) "the regime switch fired" true
+    (file_ref.Stream.Pipeline.events <> []);
+  let file_bytes = Json.to_string (Stream.Pipeline.stats_json file_ref) in
+  List.iter
+    (fun (queue_capacity, jobs) ->
+      let what = Printf.sprintf "queue %d, jobs %d" queue_capacity jobs in
+      let gen =
+        run_pipeline { (pipeline_cfg jobs) with queue_capacity }
+      in
+      Alcotest.(check string) (what ^ ": generator") (Lazy.force reference_bytes)
+        (Json.to_string (Stream.Pipeline.stats_json gen));
+      Alcotest.(check string) (what ^ ": file") file_bytes
+        (Json.to_string
+           (Stream.Pipeline.stats_json (file_run queue_capacity jobs))))
+    [ (1, 1); (1, 2); (3, 1); (3, 2); (4096, 1); (4096, 2) ]
+
+(* The flush's batch labels must feed the refit exactly what a
+   transition-by-transition walk with scalar gate-level labels would:
+   replay the first event's prefix of the stream by hand and compare the
+   sample count and both Lin errors bit for bit.  [sim_every] 1 and 23
+   both sample the transition across the seam at vector 2048. *)
+let pipeline_batch_labels_match_scalar_walk () =
+  let circuit, model, bits = Lazy.force fixture in
+  let simulator = Gatesim.Simulator.create circuit in
+  let scalar u v =
+    Gatesim.Simulator.switched_capacitance_of_values simulator
+      (Gatesim.Simulator.eval simulator u)
+      (Gatesim.Simulator.eval simulator v)
+  in
+  List.iter
+    (fun sim_every ->
+      let cfg = { (pipeline_cfg 1) with sim_every } in
+      let o =
+        ok_or_fail "pipeline"
+          (Stream.Pipeline.run ~simulator cfg ~model ~source:(fresh_source ()))
+      in
+      match o.Stream.Pipeline.events with
+      | [] -> Alcotest.fail "no drift event"
+      | ev :: _ ->
+        let at = ev.Stream.Pipeline.drift.Stream.Drift.at in
+        let source = fresh_source () in
+        let refit = Stream.Refit.create ~features:(bits + 1) () in
+        let prev = ref None in
+        for i = 0 to at - 1 do
+          match (Stream.Source.next source, !prev) with
+          | Some (Stream.Source.Vector v), p ->
+            (match p with
+            | Some u when (i - 1) mod sim_every = 0 ->
+              Stream.Refit.observe refit
+                ~row:(Powermodel.Baselines.transition_features u v)
+                ~value:(scalar u v)
+            | _ -> ());
+            prev := Some v
+          | _ -> Alcotest.fail "source ended early"
+        done;
+        let what = Printf.sprintf "sim_every %d" sim_every in
+        Alcotest.(check int) (what ^ ": samples") (Stream.Refit.count refit)
+          ev.Stream.Pipeline.refit_samples;
+        let same name expected got =
+          Alcotest.(check int64) (what ^ ": " ^ name)
+            (Int64.bits_of_float expected) (Int64.bits_of_float got)
+        in
+        same "Lin rms before"
+          (Stream.Refit.rms_recent refit (Array.make (bits + 1) 0.0))
+          ev.Stream.Pipeline.lin_rms_before;
+        same "Lin rms after"
+          (Stream.Refit.rms_recent refit (Stream.Refit.fit refit))
+          ev.Stream.Pipeline.lin_rms_after)
+    [ 1; 23 ]
+
+let pipeline_rejects_empty_queue () =
+  let _, model, _ = Lazy.force fixture in
+  List.iter
+    (fun queue_capacity ->
+      let e =
+        expect_error "queue capacity"
+          (Stream.Pipeline.run
+             { (pipeline_cfg 1) with queue_capacity }
+             ~model ~source:(fresh_source ()))
+      in
+      Alcotest.(check bool) "validation error" true
+        (e.Guard.Error.kind = Guard.Error.Validation))
+    [ 0; -600 ]
+
+(* Under [Shed] a full queue drops a whole block; the count is in
+   records, so every record the source emitted is folded, shed or
+   quarantined. *)
+let pipeline_shed_counts_records () =
+  let cfg =
+    {
+      (pipeline_cfg ~throttle:0.005 1) with
+      policy = Stream.Ingest.Shed;
+      queue_capacity = 1;
+    }
+  in
+  let o = run_pipeline cfg in
+  Alcotest.(check bool) "ended normally" true (o.Stream.Pipeline.stopped = None);
+  Alcotest.(check bool) "something was shed" true (o.Stream.Pipeline.sheds > 0);
+  Alcotest.(check int) "vectors + sheds + quarantined = records"
+    (List.fold_left (fun n p -> n + p.Stream.Source.count) 0 phases)
+    (Stream.Stats.vectors o.Stream.Pipeline.stats
+    + o.Stream.Pipeline.sheds + o.Stream.Pipeline.quarantined)
+
 let with_fault_spec spec k =
   Guard.Fault.install (ok_or_fail "fault spec" (Guard.Fault.parse spec));
   Fun.protect ~finally:Guard.Fault.clear k
@@ -636,6 +777,14 @@ let suite =
       pipeline_jobs_identity;
     Alcotest.test_case "pipeline quarantines malformed records" `Quick
       pipeline_quarantines_malformed;
+    Alcotest.test_case "pipeline stats are queue-capacity-independent" `Quick
+      pipeline_queue_capacity_identity;
+    Alcotest.test_case "batch labels match a scalar refit walk" `Quick
+      pipeline_batch_labels_match_scalar_walk;
+    Alcotest.test_case "a non-positive queue capacity is a typed error" `Quick
+      pipeline_rejects_empty_queue;
+    Alcotest.test_case "shed counts dropped records, not blocks" `Quick
+      pipeline_shed_counts_records;
     Alcotest.test_case "ingest faults retry without perturbing stats" `Quick
       pipeline_ingest_faults_are_retried;
     Alcotest.test_case "drift faults skip judgements, never crash" `Quick
