@@ -34,9 +34,6 @@
      CFPM_ORDER          variable-order policy for every model build:
                          declared (default), info, sift or info+sift;
                          estimates are byte-identical across policies
-     CFPM_BENCH_ALL      set to 1 to include the demoted kernels (the
-                         branch-prediction-flattered fig7a:model-eval)
-                         in the Bechamel suite
      CFPM_PROGRESS       set to 1 for heartbeat lines on stderr while the
                          experiment pool drains
 
@@ -340,9 +337,8 @@ let ablation_implementation_sensitivity () =
    policy; the report records node counts, sift swaps, reorder gain and
    build wall time per (circuit, policy) row.  Estimates are
    byte-identical across policies by construction — the ablation
-   measures shape, not accuracy — and the CI reorder-smoke job asserts
-   on the cm85-exact rows (sifting must beat the declared-order node
-   count). *)
+   measures shape, not accuracy.  The tier-1 reorder suite asserts the
+   cm85-exact node counts (declared 9382, sifting below it). *)
 
 let ablation_reorder () =
   heading "Ablation A5: variable-order policies (Table 1 suite + exact cm85)";
@@ -639,27 +635,12 @@ let bechamel_suite () =
       (List.init 24 (fun i ->
            Dd.Bdd.bor bdd_mgr (Dd.Bdd.var bdd_mgr i) (Dd.Bdd.var bdd_mgr (i + 1))))
   in
-  (* demoted: a single fixed pattern re-walked in a tight loop is
-     branch-prediction-flattered into numbers no real workload sees —
-     kept for archeology behind CFPM_BENCH_ALL=1, out of the default
-     (and CI-asserted) kernel set *)
-  let demoted =
-    match Sys.getenv_opt "CFPM_BENCH_ALL" with
-    | Some "1" ->
-      [
-        Test.make ~name:"fig7a:model-eval" (Staged.stage (fun () ->
-             Powermodel.Model.switched_capacitance model ~x_i ~x_f));
-      ]
-    | Some _ | None -> []
-  in
   let tests =
-    demoted
-    @ [
+    [
       (* E1-E4 kernels: one Test.make per reproduced table/figure *)
       (* the interpreted per-pattern walk over the same transitions the
-         eval-batch kernel consumes — the honest baseline for the
-         throughput ratio (model-eval above re-walks one fixed pattern,
-         which branch prediction makes unrealistically fast) *)
+         eval-batch kernel consumes — the baseline for the throughput
+         ratio *)
       Test.make ~name:"fig7a:model-run" (Staged.stage (fun () ->
            Powermodel.Model.run model batch_seq));
       (* the compiled bulk path over a whole packed block; jobs:1 keeps
@@ -825,8 +806,7 @@ let write_json ~total_seconds ~metrics ~fig7a ~fig7b ~table1 ~kernels
            this member across CFPM_JOBS settings (modulo the jobs field) *)
         ("eval_batch", eval_batch);
         (* ablation A5 rows: per-(circuit, policy) node counts, sift
-           swaps, reorder gain and build wall time; the CI reorder-smoke
-           job asserts the cm85-exact sift row beats declared order *)
+           swaps, reorder gain and build wall time *)
         ("reorder", reorder);
         (* streaming telemetry probe: a fixed drifting workload through
            the full pipeline; the stats digest is jobs-independent *)

@@ -18,15 +18,7 @@ let of_bdd_bits = 14
 type manager = {
   mutable next_id : int;
   leaves : (int64, t) Hashtbl.t; (* keyed by IEEE bits for exact sharing *)
-  (* Unique (hash-consing) table: open addressing with linear probing over
-     parallel int arrays keyed by the (var, low, high) triple; [u_var] = -1
-     marks an empty slot.  Power-of-two capacity, grown at 50% load and
-     rebuilt in place by {!sweep}. *)
-  mutable u_var : int array;
-  mutable u_low : int array;
-  mutable u_high : int array;
-  mutable u_node : t array;
-  mutable u_count : int;
+  unique : t Unique.t; (* rebuilt in place by {!sweep} *)
   (* Variable order: [perm] maps variable -> level, [invperm] level ->
      variable; identity beyond their length (empty = natural order). *)
   mutable perm : int array;
@@ -63,20 +55,13 @@ type manager = {
 
 let op_names = [| "plus"; "minus"; "times"; "min"; "max" |]
 
-let initial_unique_bits = 12
-
-let manager ?perf () =
-  let perf = match perf with Some p -> p | None -> Perf.create () in
-  let n = 1 lsl initial_unique_bits in
+let manager () =
+  let perf = Perf.create () in
   let obn = 1 lsl of_bdd_bits in
   {
     next_id = 0;
     leaves = Hashtbl.create 256;
-    u_var = Array.make n (-1);
-    u_low = Array.make n 0;
-    u_high = Array.make n 0;
-    u_node = Array.make n dummy;
-    u_count = 0;
+    unique = Unique.create dummy;
     perm = [||];
     invperm = [||];
     cache = Ct.cache ~bits:cache_bits ~dummy;
@@ -107,7 +92,7 @@ let clear_caches m =
 
 let perf m = m.perf
 
-let unique_size m = m.u_count
+let unique_size m = m.unique.Unique.count
 
 let node_id = function Leaf l -> l.id | Node n -> n.id
 
@@ -120,10 +105,8 @@ let ensure_order m n =
     m.invperm <- Array.init n (fun i -> if i < len then m.invperm.(i) else i)
   end
 
-let order m = Array.copy m.invperm
-
 let set_order m ord =
-  if m.u_count > 0 then
+  if m.unique.Unique.count > 0 then
     invalid_arg "Add.set_order: manager already contains nodes";
   let n = Array.length ord in
   let perm = Array.make n (-1) in
@@ -152,61 +135,21 @@ let const m value =
     Hashtbl.add m.leaves bits l;
     l
 
-let uhash v l h = Ct.mix (v lxor (l * 0x85EBCA77) lxor (h * 0xC2B2AE3D))
-
-let grow_unique m =
-  let old_var = m.u_var
-  and old_low = m.u_low
-  and old_high = m.u_high
-  and old_node = m.u_node in
-  let n = 2 * Array.length old_var in
-  let mask = n - 1 in
-  let u_var = Array.make n (-1)
-  and u_low = Array.make n 0
-  and u_high = Array.make n 0
-  and u_node = Array.make n dummy in
-  for i = 0 to Array.length old_var - 1 do
-    let v = old_var.(i) in
-    if v >= 0 then begin
-      let j = ref (uhash v old_low.(i) old_high.(i) land mask) in
-      while u_var.(!j) >= 0 do
-        j := (!j + 1) land mask
-      done;
-      u_var.(!j) <- v;
-      u_low.(!j) <- old_low.(i);
-      u_high.(!j) <- old_high.(i);
-      u_node.(!j) <- old_node.(i)
-    end
-  done;
-  m.u_var <- u_var;
-  m.u_low <- u_low;
-  m.u_high <- u_high;
-  m.u_node <- u_node
-
 let mk m v low high =
   if low == high then low
   else begin
     let il = node_id low and ih = node_id high in
-    let mask = Array.length m.u_var - 1 in
-    let rec probe i =
-      let uv = m.u_var.(i) in
-      if uv < 0 then begin
-        Ct.check_id m.next_id;
-        let n = Node { id = m.next_id; var = v; low; high } in
-        m.next_id <- m.next_id + 1;
-        m.u_var.(i) <- v;
-        m.u_low.(i) <- il;
-        m.u_high.(i) <- ih;
-        m.u_node.(i) <- n;
-        m.u_count <- m.u_count + 1;
-        Perf.note_peak m.perf m.next_id;
-        if 2 * m.u_count >= Array.length m.u_var then grow_unique m;
-        n
-      end
-      else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then m.u_node.(i)
-      else probe ((i + 1) land mask)
-    in
-    probe (uhash v il ih land mask)
+    let u = m.unique in
+    let i = Unique.find u v il ih in
+    if u.Unique.var.(i) >= 0 then u.Unique.node.(i)
+    else begin
+      Ct.check_id m.next_id;
+      let n = Node { id = m.next_id; var = v; low; high } in
+      m.next_id <- m.next_id + 1;
+      Perf.note_peak m.perf m.next_id;
+      Unique.fill u i v il ih n;
+      n
+    end
   end
 
 let of_bdd m ?(one_value = 1.0) ?(zero_value = 0.0) b =
@@ -489,8 +432,6 @@ let max_value t =
 
 let make_node = mk
 
-let allocated m = m.next_id
-
 (* ------------------------------------------------------------------ *)
 (* Root-registered mark-and-sweep.  [protect]/[unprotect] maintain a
    refcount per root; [sweep] keeps exactly the nodes reachable from the
@@ -530,42 +471,7 @@ let sweep m =
     end
   in
   Hashtbl.iter (fun _ (_, t) -> mark t) m.roots;
-  (* collect surviving internal nodes, then rebuild the unique table at a
-     capacity fitted to them *)
-  let survivors = ref [] in
-  let survivor_count = ref 0 in
-  for i = 0 to Array.length m.u_var - 1 do
-    if m.u_var.(i) >= 0 && Hashtbl.mem live (node_id m.u_node.(i)) then begin
-      survivors := m.u_node.(i) :: !survivors;
-      incr survivor_count
-    end
-  done;
-  let capacity = ref (1 lsl initial_unique_bits) in
-  while !capacity < 4 * !survivor_count do
-    capacity := 2 * !capacity
-  done;
-  let n = !capacity in
-  let mask = n - 1 in
-  m.u_var <- Array.make n (-1);
-  m.u_low <- Array.make n 0;
-  m.u_high <- Array.make n 0;
-  m.u_node <- Array.make n dummy;
-  m.u_count <- !survivor_count;
-  List.iter
-    (fun node ->
-      match node with
-      | Leaf _ -> ()
-      | Node nd ->
-        let il = node_id nd.low and ih = node_id nd.high in
-        let j = ref (uhash nd.var il ih land mask) in
-        while m.u_var.(!j) >= 0 do
-          j := (!j + 1) land mask
-        done;
-        m.u_var.(!j) <- nd.var;
-        m.u_low.(!j) <- il;
-        m.u_high.(!j) <- ih;
-        m.u_node.(!j) <- node)
-    !survivors;
+  Unique.rebuild m.unique ~keep:(fun node -> Hashtbl.mem live (node_id node));
   (* prune dead leaves *)
   let dead = ref [] in
   Hashtbl.iter
@@ -578,33 +484,38 @@ let sweep m =
   m.ob_generation <- m.ob_generation + 1;
   Hashtbl.reset m.size_memo
 
-let migrate target t =
-  let memo = Hashtbl.create 1024 in
-  let rec go t =
-    match Hashtbl.find_opt memo (node_id t) with
-    | Some r -> r
-    | None ->
-      let r =
-        match t with
-        | Leaf l -> const target l.value
-        | Node n -> mk target n.var (go n.low) (go n.high)
-      in
-      Hashtbl.add memo (node_id t) r;
-      r
-  in
-  go t
-
 (* ------------------------------------------------------------------ *)
-(* Dynamic variable reordering — the ADD twin of the engine in Bdd (see
-   the block comment there for the swap mechanics, the canonicity
-   argument and the liveness discipline).  Differences: terminals are
-   value-keyed leaves, which are never deleted during a session (leaf
-   reuse cannot break canonicity; a later {!sweep} prunes the dead
-   ones), roots come from the manager's protect table, and invalidation
-   additionally bumps the of_bdd generation and resets the size memo —
-   stamp-based size queries stay sound because ids never change, but the
-   per-root size memo would be stale the moment a swap reshapes the
-   diagram under an unchanged root id. *)
+(* Dynamic variable reordering: CUDD-style sifting over in-place
+   adjacent-level swaps.
+
+   The swap of levels l and l+1 (variables u and v) rewrites exactly the
+   u-nodes that have a v-child, in place: such a node keeps its id and
+   physical identity but becomes a v-node over fresh-or-shared u-children
+   built from the four grandcofactors, so every parent pointer and every
+   denoted function is preserved.  u-nodes without a v-child simply
+   change level (their var stays u), and v-nodes are untouched except
+   that some may lose their last parent and die.  Unique-table keys never
+   collide during the rewrite: a (v, new_low, new_high) entry would
+   denote the same function as the rewritten node, and canonicity says
+   that function had exactly one live representative before the swap —
+   the node being rewritten.
+
+   Liveness is tracked with a per-session refcount (parents + root
+   pins, the roots coming from the manager's protect table); nodes that
+   drop to zero are deleted from the unique table immediately
+   (backward-shift deletion), cascading to their children, so the table
+   always holds exactly the live node set and sifting's size objective is
+   honest.  Leaves are value-keyed and never deleted during a session
+   (leaf reuse cannot break canonicity; a later {!sweep} prunes the dead
+   ones).
+
+   The computed tables are invalidated at the end of a session: ids are
+   never reused and functions are preserved, but a cached result could
+   name a node whose table entry died, and resurrecting it would break
+   canonicity.  The of_bdd generation is bumped and the size memo reset
+   for the same reason — stamp-based size queries stay sound because ids
+   never change, but the per-root size memo would be stale the moment a
+   swap reshapes the diagram under an unchanged root id. *)
 
 type sift_stats = {
   swaps : int;
@@ -614,54 +525,6 @@ type sift_stats = {
 }
 
 let default_max_growth = 1.2
-
-let delete_key m v il ih =
-  let mask = Array.length m.u_var - 1 in
-  let rec find i =
-    let uv = m.u_var.(i) in
-    if uv < 0 then failwith "Add: reorder lost a unique-table entry"
-    else if uv = v && m.u_low.(i) = il && m.u_high.(i) = ih then i
-    else find ((i + 1) land mask)
-  in
-  let i = find (uhash v il ih land mask) in
-  m.u_var.(i) <- -1;
-  m.u_node.(i) <- dummy;
-  m.u_count <- m.u_count - 1;
-  let j = ref ((i + 1) land mask) in
-  while m.u_var.(!j) >= 0 do
-    let v' = m.u_var.(!j)
-    and l' = m.u_low.(!j)
-    and h' = m.u_high.(!j)
-    and n' = m.u_node.(!j) in
-    m.u_var.(!j) <- -1;
-    m.u_node.(!j) <- dummy;
-    let k = ref (uhash v' l' h' land mask) in
-    while m.u_var.(!k) >= 0 do
-      k := (!k + 1) land mask
-    done;
-    m.u_var.(!k) <- v';
-    m.u_low.(!k) <- l';
-    m.u_high.(!k) <- h';
-    m.u_node.(!k) <- n';
-    j := (!j + 1) land mask
-  done
-
-let insert_node m node =
-  match node with
-  | Leaf _ -> ()
-  | Node n ->
-    let il = node_id n.low and ih = node_id n.high in
-    if 2 * (m.u_count + 1) >= Array.length m.u_var then grow_unique m;
-    let mask = Array.length m.u_var - 1 in
-    let i = ref (uhash n.var il ih land mask) in
-    while m.u_var.(!i) >= 0 do
-      i := (!i + 1) land mask
-    done;
-    m.u_var.(!i) <- n.var;
-    m.u_low.(!i) <- il;
-    m.u_high.(!i) <- ih;
-    m.u_node.(!i) <- node;
-    m.u_count <- m.u_count + 1
 
 type session = {
   mutable refs : int array;
@@ -690,10 +553,10 @@ let session_of m roots nlevels =
       swaps = 0;
     }
   in
-  for i = 0 to Array.length m.u_var - 1 do
-    if m.u_var.(i) >= 0 then begin
-      match m.u_node.(i) with
-      | Node n as node ->
+  Unique.iter
+    (fun node ->
+      match node with
+      | Node n ->
         s.live <- s.live + 1;
         let l = level m n.var in
         s.at.(l) <- node :: s.at.(l);
@@ -703,9 +566,8 @@ let session_of m roots nlevels =
         (match n.high with
         | Node c -> s.refs.(c.id) <- s.refs.(c.id) + 1
         | Leaf _ -> ())
-      | Leaf _ -> ()
-    end
-  done;
+      | Leaf _ -> ())
+    m.unique;
   List.iter
     (fun r ->
       match r with
@@ -747,7 +609,7 @@ let swap_adjacent_in m s lvl =
             | Node c when c.var = v -> (c.low, c.high)
             | _ -> (f1, f1)
           in
-          delete_key m u (node_id f0) (node_id f1);
+          Unique.remove m.unique u (node_id f0) (node_id f1);
           let acquire c =
             match c with
             | Node cn -> s.refs.(cn.id) <- s.refs.(cn.id) + 1
@@ -779,7 +641,7 @@ let swap_adjacent_in m s lvl =
           n.var <- v;
           n.low <- nl;
           n.high <- nh;
-          insert_node m node;
+          Unique.reinsert m.unique v (node_id nl) (node_id nh) node;
           new_a := node :: !new_a
         end
       | _ -> ())
@@ -791,7 +653,7 @@ let swap_adjacent_in m s lvl =
       pending := rest;
       (match c with
       | Node cn when s.refs.(cn.id) = 0 ->
-        delete_key m cn.var (node_id cn.low) (node_id cn.high);
+        Unique.remove m.unique cn.var (node_id cn.low) (node_id cn.high);
         s.live <- s.live - 1;
         release cn.low;
         release cn.high
@@ -821,12 +683,9 @@ let invalidate_after_reorder m =
 
 let level_span m =
   let max_lvl = ref (-1) in
-  for i = 0 to Array.length m.u_var - 1 do
-    if m.u_var.(i) >= 0 then begin
-      let l = level m m.u_var.(i) in
-      if l > !max_lvl then max_lvl := l
-    end
-  done;
+  Unique.iter
+    (function Node n -> max_lvl := max !max_lvl (level m n.var) | Leaf _ -> ())
+    m.unique;
   !max_lvl + 1
 
 let validate_pairs m nlevels =
@@ -849,7 +708,7 @@ let swap_adjacent m lvl =
   let roots = root_list m in
   let s = session_of m roots (Array.length m.invperm) in
   swap_adjacent_in m s lvl;
-  if s.live <> m.u_count then
+  if s.live <> m.unique.Unique.count then
     failwith "Add.swap_adjacent: internal accounting mismatch";
   invalidate_after_reorder m
 
@@ -958,7 +817,7 @@ let sift ?(group_pairs = false) ?(max_growth = default_max_growth) ?max_swaps
         end)
       by_size
   end;
-  if s.live <> m.u_count then
+  if s.live <> m.unique.Unique.count then
     failwith "Add.sift: internal accounting mismatch";
   invalidate_after_reorder m;
   { swaps = s.swaps; size_before = size0; size_after = s.live;
@@ -988,7 +847,7 @@ let reorder_to m target =
       swap_adjacent_in m s (l - 1)
     done
   done;
-  if s.live <> m.u_count then
+  if s.live <> m.unique.Unique.count then
     failwith "Add.reorder_to: internal accounting mismatch";
   invalidate_after_reorder m;
   { swaps = s.swaps; size_before = size0; size_after = s.live;

@@ -22,10 +22,7 @@ type t = private
 
 type manager
 
-val manager : ?perf:Perf.t -> unit -> manager
-(** [perf] shares an existing counter set — {!Powermodel.Model.build}
-    uses this to keep one cumulative counter window across its periodic
-    manager migrations. *)
+val manager : unit -> manager
 
 val clear_caches : manager -> unit
 (** Drop the operation caches and reset the {!Perf} counters. *)
@@ -137,10 +134,6 @@ val make_node : manager -> int -> t -> t -> t
     variables greater than [v]) — used by {!Approx} to rebuild diagrams
     bottom-up. *)
 
-val allocated : manager -> int
-(** Total nodes ever hash-consed in this manager.  Monotone: {!sweep}
-    frees memory but never reuses ids. *)
-
 (** {1 Memory management}
 
     The unique table retains every intermediate result, so a long
@@ -150,12 +143,7 @@ val allocated : manager -> int
     rebuilt in place at a capacity fitted to the survivors.  Hash-consing
     canonicity is preserved across a sweep — live nodes stay physically
     equal, and the computed tables are invalidated so dead results cannot
-    resurface.  {!Perf} counters keep running across a sweep.
-
-    {!migrate} remains for {e cross-manager} composition (copying a model
-    into another manager's id space); within one manager, sweeping is
-    strictly cheaper than migrating because surviving nodes are not
-    re-allocated. *)
+    resurface.  {!Perf} counters keep running across a sweep. *)
 
 val protect : manager -> t -> unit
 (** Register a diagram as a GC root (refcounted: protect twice, unprotect
@@ -173,10 +161,6 @@ val sweep : manager -> unit
     roots, rebuild the unique and leaf tables in place, invalidate the
     computed tables.  Unreachable nodes become garbage for the OCaml GC. *)
 
-val migrate : manager -> t -> t
-(** Structurally copy a diagram into another manager.  The result lives in
-    [target]; the source manager can then be dropped. *)
-
 (** {1 Variable order and dynamic reordering}
 
     A manager maps variables to {e levels} (depth from the root); the maps
@@ -189,10 +173,6 @@ val migrate : manager -> t -> t
 
 val level : manager -> int -> int
 (** Current level of a variable (identity for variables never reordered). *)
-
-val order : manager -> int array
-(** Snapshot of the level-to-variable map ([order.(l)] is the variable at
-    level [l]); empty for a fresh manager in natural order. *)
 
 val var_order : manager -> vars:int -> int array
 (** [var_order m ~vars] is the variables [0 .. vars-1] sorted by current

@@ -8,29 +8,25 @@
 
     Variables are non-negative integers.  By default the variable order is
     the natural integer order (variable 0 closest to the root); every
-    manager carries a variable-to-level permutation that {!set_order} and
-    the reordering operations below ({!sift}, {!swap_adjacent}) update, and
-    all ordered operations compare variables through it.  All operations
-    are memoized in per-manager caches. *)
+    manager carries a variable-to-level permutation that {!set_order}
+    installs before the first node is built, and all ordered operations
+    compare variables through it.  BDDs are never reordered in place: only
+    the {!Add} built from them is.  All operations are memoized in
+    per-manager caches. *)
 
 type t = private
   | False
   | True
-  | Node of { id : int; mutable var : int; mutable low : t; mutable high : t }
+  | Node of { id : int; var : int; low : t; high : t }
       (** [Node {var; low; high}] is [if var then high else low].  Invariant:
           [low != high] and both children sit on strictly deeper levels than
-          [var] under the manager's current order.  The fields are mutable
-          only for the in-place level swaps of the reordering engine — they
-          never change the function a node denotes, and outside a reordering
-          call diagrams are immutable. *)
+          [var] under the manager's order. *)
 
 type manager
 (** Mutable state: unique table and operation caches.  Diagrams from
     different managers must never be mixed. *)
 
-val manager : ?perf:Perf.t -> unit -> manager
-(** [perf] shares an existing counter set (e.g. to carry counters across a
-    manager migration); a fresh one is created by default. *)
+val manager : unit -> manager
 
 val clear_caches : manager -> unit
 (** Drop all operation caches (the unique table is kept, so existing nodes
@@ -38,7 +34,8 @@ val clear_caches : manager -> unit
     long runs. *)
 
 val node_count : manager -> int
-(** Number of live hash-consed nodes ever created in this manager. *)
+(** Number of internal nodes ever created in this manager (terminals
+    excluded); the unique table never drops one. *)
 
 val perf : manager -> Perf.t
 (** The manager's performance counters: computed-table hits/misses per
@@ -136,57 +133,16 @@ val any_sat : t -> (int * bool) list option
 (** One satisfying partial assignment (variable, value), or [None] for
     [False]. *)
 
-(** {1 Variable order and dynamic reordering}
+(** {1 Variable order}
 
-    A manager maps variables to {e levels} (depth from the root); the maps
-    are the identity until changed.  {!set_order} installs a static order
-    before any node exists; {!sift} and {!swap_adjacent} reorder live
-    diagrams in place — node identity, ids and denoted functions are all
-    preserved, so existing references stay valid and [eval] results are
-    bit-for-bit unchanged. *)
+    A manager maps variables to {e levels} (depth from the root); the map
+    is the identity until {!set_order} installs a static order. *)
 
 val level : manager -> int -> int
-(** Current level of a variable (identity for variables never reordered). *)
-
-val order : manager -> int array
-(** Snapshot of the level-to-variable map ([order.(l)] is the variable at
-    level [l]); empty for a fresh manager in natural order. *)
+(** Level of a variable under the installed order (identity without one). *)
 
 val set_order : manager -> int array -> unit
 (** [set_order m ord] installs the static order [ord] (level-to-variable, a
     permutation of [0 .. n-1]).  Only valid on a manager with no internal
     nodes yet — raises [Invalid_argument] otherwise, and on a non-
     permutation. *)
-
-type sift_stats = {
-  swaps : int;       (** adjacent-level swaps performed *)
-  size_before : int; (** live internal nodes when sifting started *)
-  size_after : int;  (** live internal nodes when it finished *)
-  capped : bool;     (** stopped early by [max_swaps] *)
-}
-
-val sift :
-  ?group_pairs:bool ->
-  ?max_growth:float ->
-  ?max_swaps:int ->
-  manager ->
-  roots:t list ->
-  sift_stats
-(** Sifting pass: every variable (or, with [group_pairs], every adjacent
-    (even, odd) variable pair, moved as a unit so pair-based analyses stay
-    exact) is moved through all levels by adjacent swaps and parked at the
-    best position seen.  A variable's walk is abandoned early when the live
-    node count exceeds [max_growth] (default 1.2) times its starting value.
-    [max_swaps] bounds the total number of adjacent swaps; the pass stops
-    before a variable whose worst-case walk no longer fits, so a capped
-    sift still leaves a consistent order ([capped] reports it).
-
-    Everything not reachable from [roots] is swept away first (the
-    unique table then equals the live set sifting minimizes).  All
-    computed tables are invalidated.  Deterministic: same manager history,
-    roots and arguments produce the same final order and sizes. *)
-
-val swap_adjacent : manager -> roots:t list -> int -> unit
-(** [swap_adjacent m ~roots lvl] performs the single adjacent-level swap of
-    levels [lvl] and [lvl + 1] (sweeping to [roots] first), mostly useful
-    for tests.  Functions of all surviving nodes are preserved. *)

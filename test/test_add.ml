@@ -127,24 +127,12 @@ let unit_support () =
   Alcotest.(check (list int)) "support" [ 2 ] (Dd.Add.support t);
   Alcotest.(check int) "internal count" 1 (Dd.Add.internal_count t)
 
-let unit_migrate () =
-  let g = Dd.Bdd.var bdd_mgr 1 in
-  let t = Dd.Add.ite mgr g (Dd.Add.const mgr 3.0) (Dd.Add.const mgr 4.0) in
-  let fresh = Dd.Add.manager () in
-  let t' = Dd.Add.migrate fresh t in
-  List.iter
-    (fun env ->
-      Util.check_close "migrated value" (Dd.Add.eval t env) (Dd.Add.eval t' env))
-    (Util.assignments vars);
-  Alcotest.(check int) "migrated size" (Dd.Add.size t) (Dd.Add.size t')
-
 let suite =
   [
     Alcotest.test_case "leaf sharing" `Quick unit_leaf_sharing;
     Alcotest.test_case "reduction" `Quick unit_reduction;
     Alcotest.test_case "terminal values" `Quick unit_terminal_values;
     Alcotest.test_case "support" `Quick unit_support;
-    Alcotest.test_case "migrate" `Quick unit_migrate;
     test_ite_semantics;
     test_apply2;
     test_scale_offset;

@@ -1,7 +1,8 @@
 (* DD kernel (packed computed tables, open-addressing unique tables,
    root-based GC, bounded size tracking): model equivalence against the
-   gate-level simulator, Bdd.shift renaming, protect/sweep invariants, and
-   the Perf counter lifecycle across a sweep. *)
+   gate-level simulator, Bdd.shift renaming, protect/sweep invariants, the
+   Perf counter lifecycle across a sweep, and the unique table against a
+   Hashtbl model. *)
 
 let random_vector prng n =
   Array.init n (fun _ -> Stimulus.Prng.bool prng ~p:0.5)
@@ -181,6 +182,134 @@ let size_tracking () =
   Alcotest.(check (option int)) "size_under below the bound" None
     (Dd.Add.size_under m t ~limit:(n - 1))
 
+(* The unique table against a Hashtbl model: random insert / remove /
+   rebuild sequences that cross the 50%-load growth boundary (2048 keys in
+   the initial 4096 slots) and the shrinking rebuild.  After every step each
+   live key must be found with its node, no removed key may be found, the
+   count must match the model and the occupied slots, and the table must be
+   under half full. *)
+
+(* [Insert (n, seed, fill)] adds through find-then-fill when [fill], else
+   through reinsert: one path per step, so each path's growth is checked *)
+type unique_op =
+  | Insert of int * int * bool
+  | Remove of int * int
+  | Rebuild of int
+
+let unique_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun n seed fill -> Insert (n, seed, fill))
+            (int_range 0 1500) nat bool );
+        (3, map2 (fun n seed -> Remove (n, seed)) (int_range 0 900) nat);
+        (1, map (fun k -> Rebuild k) (int_range 2 4));
+      ]
+  in
+  let print = function
+    | Insert (n, seed, fill) -> Printf.sprintf "Insert(%d,%d,%b)" n seed fill
+    | Remove (n, seed) -> Printf.sprintf "Remove(%d,%d)" n seed
+    | Rebuild k -> Printf.sprintf "Rebuild %d" k
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 1 8) op)
+
+let unique_matches_model ops =
+  let u = Dd.Unique.create (-1) in
+  let live = Hashtbl.create 4096 and gone = Hashtbl.create 4096 in
+  let next = ref 0 in
+  let keys () = Hashtbl.fold (fun k _ acc -> k :: acc) live [] in
+  let check step =
+    Hashtbl.iter
+      (fun (v, l, h) node ->
+        let i = Dd.Unique.find u v l h in
+        if u.Dd.Unique.var.(i) < 0 || u.Dd.Unique.node.(i) <> node then
+          Alcotest.failf "%s: live key (%d,%d,%d) lost" step v l h)
+      live;
+    Hashtbl.iter
+      (fun (v, l, h) () ->
+        if u.Dd.Unique.var.(Dd.Unique.find u v l h) >= 0 then
+          Alcotest.failf "%s: removed key (%d,%d,%d) still found" step v l h)
+      gone;
+    let occupied =
+      Array.fold_left (fun n v -> if v >= 0 then n + 1 else n) 0 u.Dd.Unique.var
+    in
+    if u.Dd.Unique.count <> Hashtbl.length live || occupied <> u.Dd.Unique.count
+    then
+      Alcotest.failf "%s: count %d, occupied %d, model %d" step
+        u.Dd.Unique.count occupied (Hashtbl.length live);
+    if 2 * occupied >= Array.length u.Dd.Unique.var then
+      Alcotest.failf "%s: %d keys in %d slots, past half load" step occupied
+        (Array.length u.Dd.Unique.var)
+  in
+  List.iteri
+    (fun k op ->
+      (match op with
+      | Insert (n, seed, fill) ->
+        let rng = Random.State.make [| seed |] in
+        let known = Array.of_list (keys ()) in
+        for _ = 1 to n do
+          (* one in eight draws repeats a key present when the step began *)
+          let ((v, l, h) as key) =
+            if Array.length known > 0 && Random.State.int rng 8 = 0 then
+              known.(Random.State.int rng (Array.length known))
+            else
+              ( Random.State.int rng 40,
+                Random.State.int rng 3000,
+                Random.State.int rng 3000 )
+          in
+          let i = Dd.Unique.find u v l h in
+          match Hashtbl.find_opt live key with
+          | Some node ->
+            if u.Dd.Unique.var.(i) < 0 || u.Dd.Unique.node.(i) <> node then
+              Alcotest.failf "present key (%d,%d,%d) not found" v l h
+          | None ->
+            if u.Dd.Unique.var.(i) >= 0 then
+              Alcotest.failf "absent key (%d,%d,%d) found" v l h;
+            incr next;
+            if fill then Dd.Unique.fill u i v l h !next
+            else Dd.Unique.reinsert u v l h !next;
+            Hashtbl.replace live key !next;
+            Hashtbl.remove gone key
+        done
+      | Remove (n, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let ks = Array.of_list (keys ()) in
+        let len = Array.length ks in
+        for j = 0 to min n len - 1 do
+          (* partial Fisher-Yates: n distinct live keys *)
+          let r = j + Random.State.int rng (len - j) in
+          let ((v, l, h) as key) = ks.(r) in
+          ks.(r) <- ks.(j);
+          Dd.Unique.remove u v l h;
+          Hashtbl.remove live key;
+          Hashtbl.replace gone key ()
+        done
+      | Rebuild m ->
+        Dd.Unique.rebuild u ~keep:(fun node -> node mod m <> 0);
+        Hashtbl.filter_map_inplace
+          (fun key node ->
+            if node mod m <> 0 then Some node
+            else begin
+              Hashtbl.replace gone key ();
+              None
+            end)
+          live);
+      check (Printf.sprintf "step %d" k))
+    ops;
+  (match Dd.Unique.remove u 40 0 0 with
+  | () -> Alcotest.fail "removing an absent key succeeded"
+  | exception Failure _ -> ());
+  true
+
+let qcheck_unique_table =
+  Util.qtest ~count:40 "unique table matches a Hashtbl model" unique_ops
+    unique_matches_model
+
 let suite =
   [
     Alcotest.test_case "exact/collapsed models vs simulator (cm85)" `Slow
@@ -192,4 +321,5 @@ let suite =
     Alcotest.test_case "perf lifecycle across sweep" `Quick
       perf_lifecycle_across_sweep;
     Alcotest.test_case "size tracking" `Quick size_tracking;
+    qcheck_unique_table;
   ]
