@@ -393,6 +393,35 @@ let size_in m t =
     Hashtbl.add m.size_memo id n;
     n
 
+(* Stamps [base + i] mark the nodes numbered so far; every earlier stamp
+   is below [base], and [stamp_gen] moves past the last one so later
+   queries never see them. *)
+let postorder m t ~f =
+  ensure_stamp m;
+  let base = m.stamp_gen + 1 and stamp = m.stamp in
+  let next = ref 0 in
+  let number id t l h =
+    let i = !next in
+    incr next;
+    stamp.(id) <- base + i;
+    f i t l h;
+    i
+  in
+  let rec go t =
+    let id = node_id t in
+    if stamp.(id) >= base then stamp.(id) - base
+    else
+      match t with
+      | Leaf _ -> number id t (-1) (-1)
+      | Node n ->
+        let l = go n.low in
+        let h = go n.high in
+        number id t l h
+  in
+  ignore (go t : int);
+  m.stamp_gen <- base + !next;
+  !next
+
 let internal_count t =
   fold_nodes t ~init:0 ~f:(fun n t ->
       match t with Leaf _ -> n | Node _ -> n + 1)

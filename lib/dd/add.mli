@@ -100,6 +100,14 @@ val size_in : manager -> t -> int
 (** Exact size via the manager's visit stamps, memoized per root id (O(1)
     when asked again for the same root).  [t] must live in [m]. *)
 
+val postorder : manager -> t -> f:(int -> t -> int -> int -> unit) -> int
+(** [postorder m t ~f] numbers the nodes reachable from [t] 0, 1, ... in
+    DFS postorder, low child before high, so children come before parents
+    and [t] is last.  It calls [f i node low high] once per node, in
+    numbering order, with the numbers of the node's children ([-1] at
+    leaves), and returns the count.  On the visit stamps: no hashing and
+    no allocation.  [t] must live in [m]. *)
+
 val internal_count : t -> int
 (** Number of non-leaf nodes. *)
 

@@ -40,14 +40,6 @@ val default_weighting : weighting
 
 val strategy_name : strategy -> string
 
-val score : strategy -> Add_stats.t -> float
-(** Per-subfunction score of a node under {!Unweighted}: variance (average
-    strategy) or the Eq. 8 mse (bound strategies). *)
-
-val replacement : strategy -> Add_stats.t -> float
-(** Leaf value that replaces a collapsed node under {!Unweighted} and
-    {!Uniform_mass} (uniform average / max / min). *)
-
 val compress :
   ?weighting:weighting ->
   ?resift:bool ->
@@ -68,10 +60,3 @@ val compress :
     order changes — any paired BDD manager would fall out of sync for
     future {!Add.of_bdd} calls.  The returned diagram itself is reordered
     in place, function-preserved. *)
-
-val collapse_below :
-  ?weighting:weighting ->
-  Add.manager -> strategy:strategy -> threshold:float -> Add.t -> Add.t
-(** Collapse every internal node whose priority is [<= threshold],
-    regardless of the resulting size — the threshold-driven variant used by
-    the ablation benchmarks. *)

@@ -8,9 +8,9 @@
    are not uniform: the final-copy branch depends on the initial-copy value
    chosen one level up.  The expectation propagates that one-variable
    context (the "pending" partner value) through the reduced DAG.  It is
-   exact and purely analytic — no simulation.  {!Approx.dense_markov}
-   applies the same measure to node masses and moments when it collapses
-   nodes by their damage under a whole family of statistics. *)
+   exact and purely analytic — no simulation.  {!Approx} takes its branch
+   weights and contexts from here, for the node masses and moments by
+   which it ranks collapse candidates under a family of statistics. *)
 
 type statistics = { sp : float; st : float }
 

@@ -28,6 +28,19 @@ val default_anchors : statistics list
 val p_toggle_given : initial:bool -> statistics -> float
 (** Markov toggle probability conditioned on the initial value. *)
 
+val p_high : statistics -> int -> int -> float
+(** [p_high s var ctx] is the probability of the high branch at a node on
+    variable [var] reached in context [ctx]: [0] when no partner is
+    pending, else [1 +] the initial-copy value decided on the level just
+    above, for the final copy [var] tests.  Initial copies ignore [ctx]. *)
+
+val child_ctx : int array -> int -> bool -> int -> int
+(** [child_ctx var parent_var branch child] is the context in which the
+    [branch] edge of a node on [parent_var] enters [child], an index into
+    [var] (the per-node variable, [< 0] at leaves; a negative [child] is
+    a leaf).  Non-zero only from an initial copy straight into its own
+    final copy. *)
+
 val expectation : statistics -> Compiled.repr -> float
 (** Exact expectation of a triple program's function under the
     statistics: one bottom-up pass of conditional first moments,

@@ -492,6 +492,11 @@ let triples t =
   let vars = Vars.count ~inputs:t.inputs in
   Dd.Compiled.triples ~order:(Dd.Add.var_order t.add_manager ~vars) ~vars t.cap
 
+(* At sp = st = 0.5 every branch weight is exactly 0.5, so each node's
+   [0.5 *. l +. 0.5 *. h] rounds like Eq. 7's [0.5 *. (l +. h)]: this is
+   the uniform average bit for bit. *)
+let average_capacitance t = Dd.Markov.expectation Dd.Markov.uniform (triples t)
+
 let compiled_of_program t program =
   if Dd.Compiled.vars program <> Vars.count ~inputs:t.inputs then
     invalid_arg "Model.compiled_of_program: program width is not 2 * inputs";
@@ -544,8 +549,6 @@ let run_compiled ?jobs c vectors =
     maximum = s.Dd.Compiled.maximum;
     total = s.Dd.Compiled.total;
   }
-
-let average_capacitance t = (Dd.Add_stats.of_node t.cap).Dd.Add_stats.avg
 
 let max_capacitance t = Dd.Add.max_value t.cap
 

@@ -1,5 +1,9 @@
 (* Statistics (Eq. 5-8) and Markov analysis: validated against brute-force
-   enumeration over all assignments / transitions. *)
+   enumeration over all assignments / transitions.  The Eq. 7 average,
+   maximum and minimum of a whole diagram are what [Approx.compress
+   ~max_size:1] returns as its one leaf (uniform replacement); the
+   variance and Eq. 8's mean square error come from the analytic
+   expectation at sp = st = 0.5. *)
 
 let bdd_mgr = Dd.Bdd.manager ()
 let mgr = Dd.Add.manager ()
@@ -47,47 +51,6 @@ let brute_stats spec =
   let vmax = List.fold_left Float.max neg_infinity values in
   (avg, variance, vmin, vmax)
 
-let test_root_stats =
-  Util.qtest ~count:300 "avg/var/min/max equal brute force" arbitrary
-    (fun spec ->
-      let t = build spec in
-      let s = Dd.Add_stats.of_node t in
-      let avg, variance, vmin, vmax = brute_stats spec in
-      Util.close ~eps:1e-6 s.Dd.Add_stats.avg avg
-      && Util.close ~eps:1e-6 s.Dd.Add_stats.variance variance
-      && Util.close s.Dd.Add_stats.min vmin
-      && Util.close s.Dd.Add_stats.max vmax)
-
-let test_mse_formulas =
-  Util.qtest ~count:100 "Eq. 8: mse = var + (max - avg)^2" arbitrary
-    (fun spec ->
-      let s = Dd.Add_stats.of_node (build spec) in
-      Util.close ~eps:1e-6
-        (Dd.Add_stats.mse_upper s)
-        (s.Dd.Add_stats.variance
-        +. ((s.Dd.Add_stats.max -. s.Dd.Add_stats.avg) ** 2.0))
-      && Util.close ~eps:1e-6
-           (Dd.Add_stats.mse_lower s)
-           (s.Dd.Add_stats.variance
-           +. ((s.Dd.Add_stats.min -. s.Dd.Add_stats.avg) ** 2.0)))
-
-let test_mass_conservation =
-  Util.qtest ~count:100 "uniform mass: root 1, leaves sum to 1" arbitrary
-    (fun spec ->
-      let t = build spec in
-      let mass = Dd.Add_stats.mass t in
-      let leaf_mass =
-        Dd.Add.fold_nodes t ~init:0.0 ~f:(fun acc node ->
-            match node with
-            | Dd.Add.Leaf _ ->
-              acc +. Option.value
-                       (Hashtbl.find_opt mass (Dd.Add.node_id node))
-                       ~default:0.0
-            | Dd.Add.Node _ -> acc)
-      in
-      Util.close ~eps:1e-9 1.0 leaf_mass
-      && Util.close 1.0 (Hashtbl.find mass (Dd.Add.node_id t)))
-
 (* ---- Markov analysis over interleaved transition variables ----
 
    Build a transition function over 2 inputs (4 diagram variables), then
@@ -117,6 +80,45 @@ let transitions () =
 let compiled_expectation stats_point t =
   Dd.Markov.expectation stats_point
     (Dd.Compiled.to_repr (Dd.Compiled.compile ~vars:4 t))
+
+(* the one leaf of a full collapse under the uniform criterion *)
+let collapsed strategy t =
+  let r =
+    Dd.Approx.compress ~weighting:Dd.Approx.Unweighted mgr ~strategy
+      ~max_size:1 t
+  in
+  match r with
+  | Dd.Add.Leaf l -> l.value
+  | Dd.Add.Node _ -> Alcotest.fail "max_size 1 left an internal node"
+
+let uniform_moments t =
+  let e1 = compiled_expectation Dd.Markov.uniform t in
+  (e1, compiled_expectation Dd.Markov.uniform (Dd.Add.mul mgr t t) -. (e1 *. e1))
+
+let test_root_stats =
+  Util.qtest ~count:300 "avg/var/min/max equal brute force" arbitrary
+    (fun spec ->
+      let t = build spec in
+      let avg, variance, vmin, vmax = brute_stats spec in
+      let _, var_markov = uniform_moments t in
+      Util.close ~eps:1e-6 (collapsed Dd.Approx.Average t) avg
+      && Util.close ~eps:1e-6 var_markov variance
+      && Util.close (collapsed Dd.Approx.Lower_bound t) vmin
+      && Util.close (collapsed Dd.Approx.Upper_bound t) vmax)
+
+let test_mse_formulas =
+  Util.qtest ~count:100 "Eq. 8: mse = var + (max - avg)^2" arbitrary
+    (fun spec ->
+      let t = build spec in
+      let avg, variance = uniform_moments t in
+      let mse bound =
+        let d = Dd.Add.apply2 mgr Dd.Add.Minus (Dd.Add.const mgr bound) t in
+        compiled_expectation Dd.Markov.uniform (Dd.Add.mul mgr d d)
+      in
+      let vmax = collapsed Dd.Approx.Upper_bound t
+      and vmin = collapsed Dd.Approx.Lower_bound t in
+      Util.close ~eps:1e-6 (mse vmax) (variance +. ((vmax -. avg) ** 2.0))
+      && Util.close ~eps:1e-6 (mse vmin) (variance +. ((vmin -. avg) ** 2.0)))
 
 let test_markov_expectation =
   let arbitrary4 =
@@ -152,31 +154,32 @@ let test_markov_expectation =
 let test_markov_uniform_matches_stats =
   Util.qtest ~count:100 "Markov at (0.5, 0.5) equals uniform statistics"
     arbitrary (fun spec ->
-      let t = build spec in
-      let e1 = compiled_expectation Dd.Markov.uniform t in
-      let e2 = compiled_expectation Dd.Markov.uniform (Dd.Add.mul mgr t t) in
-      let s = Dd.Add_stats.of_node t in
-      Util.close ~eps:1e-6 e1 s.Dd.Add_stats.avg
-      && Util.close ~eps:1e-6 (e2 -. (e1 *. e1)) s.Dd.Add_stats.variance)
+      let e1, variance = uniform_moments (build spec) in
+      let avg, brute_variance, _, _ = brute_stats spec in
+      Util.close ~eps:1e-6 e1 avg && Util.close ~eps:1e-6 variance brute_variance)
 
 let unit_combine () =
-  (* the paper's Ex. 4: children with avg 10 (var 0) and avg 5 (var 25)
-     combine into avg 7.5, var 18.75+... — values from Fig. 4 *)
-  let low = { Dd.Add_stats.avg = 5.0; variance = 25.0; min = 0.0; max = 10.0 } in
-  let high = { Dd.Add_stats.avg = 10.0; variance = 0.0; min = 10.0; max = 10.0 } in
-  let n = Dd.Add_stats.combine low high in
-  Util.check_close "avg" 7.5 n.Dd.Add_stats.avg;
-  Util.check_close "var" 18.75 n.Dd.Add_stats.variance;
+  (* the paper's Ex. 4: a node whose low child has avg 5 (var 25, min 0,
+     max 10) and whose high child is the constant 10 has avg 7.5 and var
+     18.75 (values from Fig. 4) *)
+  let ten = Dd.Add.const mgr 10.0 in
+  let low = Dd.Add.make_node mgr 1 (Dd.Add.const mgr 0.0) ten in
+  let t = Dd.Add.make_node mgr 0 low ten in
+  let avg, variance = uniform_moments t in
+  Util.check_close "avg" 7.5 (collapsed Dd.Approx.Average t);
+  Util.check_close "E[f]" 7.5 avg;
+  Util.check_close "var" 18.75 variance;
   (* Ex. 5: max = 10, mse = var + (max-avg)^2 = 18.75 + 6.25 = 25 *)
-  Util.check_close "max" 10.0 n.Dd.Add_stats.max;
-  Util.check_close "mse" 25.0 (Dd.Add_stats.mse_upper n)
+  Util.check_close "max" 10.0 (collapsed Dd.Approx.Upper_bound t);
+  let d = Dd.Add.apply2 mgr Dd.Add.Minus ten t in
+  Util.check_close "mse" 25.0
+    (compiled_expectation Dd.Markov.uniform (Dd.Add.mul mgr d d))
 
 let suite =
   [
     Alcotest.test_case "paper example 4/5 numbers" `Quick unit_combine;
     test_root_stats;
     test_mse_formulas;
-    test_mass_conservation;
     test_markov_expectation;
     test_markov_uniform_matches_stats;
   ]

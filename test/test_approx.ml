@@ -103,17 +103,6 @@ let test_full_collapse_average =
       && Dd.Add.min_value r >= Dd.Add.min_value t -. 1e-9
       && Dd.Add.max_value r <= Dd.Add.max_value t +. 1e-9)
 
-let test_collapse_below_zero_threshold =
-  Util.qtest ~count:50 "threshold below any score changes nothing" arbitrary
-    (fun spec ->
-      let t = build spec in
-      let r =
-        Dd.Approx.collapse_below ~weighting:Dd.Approx.Unweighted mgr
-          ~strategy:Dd.Approx.Average ~threshold:(-1.0) t
-      in
-      (* no node has negative variance, so nothing collapses *)
-      Dd.Add.size r = Dd.Add.size t)
-
 let unit_invalid_max () =
   let t = Dd.Add.const mgr 1.0 in
   Alcotest.check_raises "max_size 0"
@@ -147,6 +136,123 @@ let unit_paper_example () =
   ignore model;
   Alcotest.(check pass) "built" () ()
 
+(* ---- collapse identity ---- *)
+
+let strategies =
+  [
+    ("average", Dd.Approx.Average);
+    ("upper", Dd.Approx.Upper_bound);
+    ("lower", Dd.Approx.Lower_bound);
+  ]
+
+(* collapse.golden holds the MD5 of [cfpm dot C -m MAX --strategy S
+   --weighting W] for Table 1 rows at their average-model MAX, captured
+   from the list-and-Hashtbl planner the flat-array one replaced.  DOT
+   names nodes by id, i.e. by creation order, so a digest pins the
+   ranking, the rebuild order and (to %g) the replacement constants. *)
+let golden_dots () =
+  let lines =
+    In_channel.with_open_text "collapse.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "combinations" 35 (List.length lines);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ name; s; w; digest ] ->
+        let e = Option.get (Circuits.Suite.find name) in
+        let model =
+          Powermodel.Model.build ~reorder:Powermodel.Reorder.Declared
+            ~strategy:(List.assoc s strategies)
+            ~weighting:(List.assoc w weightings)
+            ~max_size:e.Circuits.Suite.max_avg (e.Circuits.Suite.build ())
+        in
+        Alcotest.(check string) (name ^ " " ^ s ^ " " ^ w) digest
+          (Digest.to_hex (Digest.string (Powermodel.Model.to_dot model)))
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    lines
+
+(* Same ids, variables and leaf bits all the way down: two managers with
+   the same history agree node for node. *)
+let same_diagram a b =
+  let seen = Hashtbl.create 64 in
+  let rec go a b =
+    Hashtbl.mem seen (Dd.Add.node_id a)
+    ||
+    (Hashtbl.add seen (Dd.Add.node_id a) ();
+     match (a, b) with
+     | Dd.Add.Leaf x, Dd.Add.Leaf y ->
+       x.id = y.id
+       && Int64.equal (Int64.bits_of_float x.value) (Int64.bits_of_float y.value)
+     | Dd.Add.Node x, Dd.Add.Node y ->
+       x.id = y.id && x.var = y.var && go x.low y.low && go x.high y.high
+     | _ -> false)
+  in
+  go a b
+
+type ref_case = {
+  inputs : int;
+  gates : int;
+  seed : int;
+  fraction : float; (* MAX as a share of the exact model's size *)
+  strategy : string;
+  weighting : string * Dd.Approx.weighting;
+}
+
+let ref_case =
+  let open QCheck.Gen in
+  let weighting =
+    oneofl
+      (("robust-skewed",
+        Dd.Approx.Robust
+          [ { Dd.Markov.sp = 0.3; st = 0.1 }; { Dd.Markov.sp = 0.7; st = 0.5 } ])
+      :: weightings)
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "inputs %d gates %d seed %d max %.2f %s %s" c.inputs
+        c.gates c.seed c.fraction c.strategy (fst c.weighting))
+    (map3
+       (fun (inputs, gates, seed) (fraction, strategy) weighting ->
+         { inputs; gates; seed; fraction; strategy; weighting })
+       (triple (int_range 2 7) (int_range 2 30) (int_bound 100_000))
+       (pair (float_range 0.0 1.0) (oneofl (List.map fst strategies)))
+       weighting)
+
+let test_matches_reference =
+  Util.qtest ~count:150 "compress equals the reference collapse bit for bit"
+    ref_case (fun c ->
+      let circuit =
+        Circuits.Random_logic.generate
+          {
+            Circuits.Random_logic.name = "ref";
+            inputs = c.inputs;
+            gates = c.gates;
+            seed = c.seed;
+            window = 8;
+            support_cap = c.inputs;
+            max_outputs = 4;
+          }
+      in
+      (* two managers with the same history *)
+      let exact () =
+        Powermodel.Model.build ~reorder:Powermodel.Reorder.Declared circuit
+      in
+      let a = exact () and b = exact () in
+      let max_size =
+        max 1 (int_of_float (c.fraction *. float_of_int (Dd.Add.size a.cap)))
+      in
+      let strategy = List.assoc c.strategy strategies in
+      let weighting = snd c.weighting in
+      let got =
+        Dd.Approx.compress ~weighting a.add_manager ~strategy ~max_size a.cap
+      in
+      let expected =
+        Approx_ref.compress ~weighting b.add_manager ~strategy ~max_size b.cap
+      in
+      same_diagram got expected)
+
 let suite =
   [
     Alcotest.test_case "invalid max_size" `Quick unit_invalid_max;
@@ -157,5 +263,7 @@ let suite =
     test_upper_bound_conservative;
     test_lower_bound_conservative;
     test_full_collapse_average;
-    test_collapse_below_zero_threshold;
+    Alcotest.test_case "Table 1 collapses match collapse.golden" `Slow
+      golden_dots;
+    test_matches_reference;
   ]

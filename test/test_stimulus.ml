@@ -12,6 +12,32 @@ let prng_seed_sensitivity () =
   Alcotest.(check bool) "different seeds differ" false
     (Stimulus.Prng.next_int64 a = Stimulus.Prng.next_int64 b)
 
+(* SplitMix64's published first outputs for seed 0 *)
+let prng_reference_outputs () =
+  let a = Stimulus.Prng.create 0 in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "splitmix64 seed 0" expected
+        (Stimulus.Prng.next_int64 a))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
+let prng_draws_do_not_allocate () =
+  let a = Stimulus.Prng.create 9 in
+  let hits = ref 0 in
+  (* warm up: fault any lazy initialization out of the measured window *)
+  ignore (Stimulus.Prng.bool a ~p:0.3);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Stimulus.Prng.bool a ~p:0.3 then incr hits;
+    hits := !hits + Stimulus.Prng.int a ~bound:3
+  done;
+  let delta = Gc.minor_words () -. before in
+  (* Gc.minor_words itself returns a boxed float *)
+  if delta > 8.0 then
+    Alcotest.failf "10000 Prng.bool + Prng.int draws allocated %.0f minor words"
+      delta;
+  Alcotest.(check bool) "draws happened" true (!hits > 0)
+
 let prng_float_range =
   Util.qtest ~count:1000 "float in [0,1)" QCheck.unit
     (let prng = Stimulus.Prng.create 7 in
@@ -131,6 +157,9 @@ let suite =
     Alcotest.test_case "prng seed sensitivity" `Quick prng_seed_sensitivity;
     Alcotest.test_case "prng int bounds" `Quick prng_int_bounds;
     Alcotest.test_case "prng copy and split" `Quick prng_copy_and_split;
+    Alcotest.test_case "prng matches splitmix64" `Quick prng_reference_outputs;
+    Alcotest.test_case "prng draws allocate nothing" `Quick
+      prng_draws_do_not_allocate;
     Alcotest.test_case "st feasibility" `Quick feasibility;
     Alcotest.test_case "markov rates" `Quick rates_match_theory;
     Alcotest.test_case "rates guard" `Quick rates_guard;
