@@ -82,23 +82,26 @@ let eval_words t w =
           (s land w.(ins.(1))) lor (lnot s land w.(ins.(0)))))
     t.circuit.Netlist.Circuit.gates
 
-(* Words of [w] for input vectors [get 0 .. get (npat - 1)], lane k
-   holding vector k, then every gate evaluated. *)
-let eval_lanes t w get npat =
+(* Words of [w] for vectors [vec 0 .. vec (npat - 1)] of [block], lane
+   k holding vector [vec k], then every gate evaluated. *)
+let eval_lanes t w block vec npat =
   let n = Netlist.Circuit.input_count t.circuit in
   Array.fill w 0 n 0;
   for k = 0 to npat - 1 do
-    let x = get k in
-    if Array.length x <> n then
-      invalid_arg
-        (Printf.sprintf "Simulator: expected %d inputs, got %d" n
-           (Array.length x));
+    let v = vec k in
     let bit = 1 lsl k in
     for i = 0 to n - 1 do
-      if x.(i) then w.(i) <- w.(i) lor bit
+      if Stimulus.Block.get block v i then w.(i) <- w.(i) lor bit
     done
   done;
   eval_words t w
+
+let check_width t block =
+  let n = Netlist.Circuit.input_count t.circuit in
+  if Stimulus.Block.width block <> n then
+    invalid_arg
+      (Printf.sprintf "Simulator: expected %d inputs, got %d" n
+         (Stimulus.Block.width block))
 
 (* Add the load of every gate output rising in lane k (< npat) to
    [out.(base + k)]; the after-value of lane k is lane [k + shift] of
@@ -124,8 +127,14 @@ let charge t ~before ~after ~shift out ~base npat =
     end
   done
 
-let switched_capacitance_batch t pairs =
-  let count = Array.length pairs in
+let switched_capacitance_block t block ends =
+  check_width t block;
+  let count = Array.length ends in
+  Array.iter
+    (fun j ->
+      if j < 1 || j >= Stimulus.Block.length block then
+        invalid_arg "Simulator.switched_capacitance_block: index out of range")
+    ends;
   let out = Array.make count 0.0 in
   let nets = t.circuit.Netlist.Circuit.net_count in
   let before = Array.make nets 0 and after = Array.make nets 0 in
@@ -133,15 +142,20 @@ let switched_capacitance_batch t pairs =
   while !base < count do
     let b = !base in
     let npat = Int.min lanes (count - b) in
-    eval_lanes t before (fun k -> fst pairs.(b + k)) npat;
-    eval_lanes t after (fun k -> snd pairs.(b + k)) npat;
+    eval_lanes t before block (fun k -> ends.(b + k) - 1) npat;
+    eval_lanes t after block (fun k -> ends.(b + k)) npat;
     charge t ~before ~after ~shift:0 out ~base:b npat;
     base := b + npat
   done;
   out
 
 let switched_capacitance t x_i x_f =
-  (switched_capacitance_batch t [| (x_i, x_f) |]).(0)
+  let block =
+    Stimulus.Block.of_bools
+      ~width:(Netlist.Circuit.input_count t.circuit)
+      [| x_i; x_f |]
+  in
+  (switched_capacitance_block t block [| 1 |]).(0)
 
 let energy ?(vdd = default_vdd) t x_i x_f =
   vdd *. vdd *. switched_capacitance t x_i x_f
@@ -160,13 +174,18 @@ type run = {
 let run t vectors =
   let count = Array.length vectors in
   if count < 2 then invalid_arg "Simulator.run: need at least two vectors";
+  let block =
+    Stimulus.Block.of_bools
+      ~width:(Netlist.Circuit.input_count t.circuit)
+      vectors
+  in
   let per_pattern = Array.make (count - 1) 0.0 in
   let values = Array.make t.circuit.Netlist.Circuit.net_count 0 in
   let base = ref 0 in
   while !base < count - 1 do
     let b = !base in
     let width = Int.min lanes (count - b) in
-    eval_lanes t values (fun k -> vectors.(b + k)) width;
+    eval_lanes t values block (fun k -> b + k) width;
     charge t ~before:values ~after:values ~shift:1 per_pattern ~base:b
       (width - 1);
     base := b + width - 1

@@ -29,19 +29,18 @@ val eval_outputs : t -> bool array -> bool array
 val switched_capacitance : t -> bool array -> bool array -> float
 (** [switched_capacitance t x_i x_f] is the total load (fF) of gate outputs
     rising in the transition — the golden value the paper's
-    [C(x_i, x_f)] models.  A batch of one through
-    {!switched_capacitance_batch}. *)
+    [C(x_i, x_f)] models.  A two-vector {!switched_capacitance_block}. *)
 
-val switched_capacitance_batch :
-  t -> (bool array * bool array) array -> float array
-(** [switched_capacitance_batch t pairs] is [switched_capacitance] of
-    every [(x_i, x_f)] pair, in order, computed word-parallel: net
-    values are held as [int] words with one pattern per bit (63 per
-    word) and each gate is one bitwise expression.  Each pattern's loads
-    are summed in ascending net order from [0.0], so every value is
-    bit-identical to {!switched_capacitance_of_values} over {!eval}.
-    Raises [Invalid_argument] when a vector's length is not the input
-    count. *)
+val switched_capacitance_block : t -> Stimulus.Block.t -> int array -> float array
+(** [switched_capacitance_block t block ends] is the switched
+    capacitance of the transition from vector [j - 1] to vector [j] of
+    the packed block, for every [j] of [ends], in order, computed
+    word-parallel: net values are held as [int] words with one pattern
+    per bit (63 per word) and each gate is one bitwise expression.  Each
+    pattern's loads are summed in ascending net order from [0.0], so
+    every value is bit-identical to {!switched_capacitance_of_values}
+    over {!eval}.  Raises [Invalid_argument] when the block's width is
+    not the input count or an index is outside [[1, length)]. *)
 
 val switched_capacitance_of_values : t -> bool array -> bool array -> float
 (** Same as {!switched_capacitance}, from precomputed net-value arrays —
@@ -63,7 +62,7 @@ type run = {
 val run : t -> bool array array -> run
 (** Simulate a vector sequence (at least two vectors) and account every
     consecutive transition, through the word-parallel kernel of
-    {!switched_capacitance_batch}; [total] and [maximum] fold
+    {!switched_capacitance_block}; [total] and [maximum] fold
     [per_pattern] in pattern order. *)
 
 val average_power : ?vdd:float -> period:float -> run -> float

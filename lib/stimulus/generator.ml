@@ -53,13 +53,25 @@ let rates ~sp ~st =
   | Ok r -> r
   | Error err -> invalid_arg ("Generator.rates: " ^ err.Guard.Error.what)
 
-(* The chain itself: one draw per bit, bits in ascending order. *)
-let first prng ~bits ~sp = Array.init bits (fun _ -> Prng.bool prng ~p:sp)
+(* The chain itself: one draw per bit, bits in ascending order, written
+   straight into a packed block.  [draw] appends one vector whose bit i
+   rises with probability [rise] from a 0 in [prev] and falls with
+   probability [fall] from a 1 (words of [prev] beyond its length read
+   as 0). *)
+let draw prng ~rise ~fall ~prev block =
+  let k = Block.push_zero block in
+  let words = Block.words block and base = k * Block.stride block in
+  let width = Block.width block in
+  for w = 0 to Block.stride block - 1 do
+    let bit0 = w * Block.bits_per_word in
+    words.(base + w) <-
+      Prng.step_bits prng ~rise ~fall
+        ~prev:(if w < Array.length prev then prev.(w) else 0)
+        ~n:(Int.min Block.bits_per_word (width - bit0))
+  done
 
-let step prng ~p01 ~p10 prev =
-  Array.map
-    (fun b -> if b then not (Prng.bool prng ~p:p10) else Prng.bool prng ~p:p01)
-    prev
+let draw_first prng ~sp block = draw prng ~rise:sp ~fall:0.0 ~prev:[||] block
+let draw_step prng ~p01 ~p10 ~prev block = draw prng ~rise:p01 ~fall:p10 ~prev block
 
 let sequence_checked prng ~bits ~length ~sp ~st =
   match check_shape ~bits ~length with
@@ -68,11 +80,14 @@ let sequence_checked prng ~bits ~length ~sp ~st =
     match rates_checked ~sp ~st with
     | Error _ as e -> e
     | Ok (p01, p10) ->
-      let vectors = Array.make length (first prng ~bits ~sp) in
+      let block = Block.create ~width:bits ~capacity:length in
+      let prev = Array.make (Block.stride block) 0 in
+      draw_first prng ~sp block;
       for k = 1 to length - 1 do
-        vectors.(k) <- step prng ~p01 ~p10 vectors.(k - 1)
+        Block.store block (k - 1) prev;
+        draw_step prng ~p01 ~p10 ~prev block
       done;
-      Ok vectors)
+      Ok (Array.init length (Block.to_bools block)))
 
 let sequence prng ~bits ~length ~sp ~st =
   match sequence_checked prng ~bits ~length ~sp ~st with

@@ -19,6 +19,12 @@ val float : t -> float
 val bool : t -> p:float -> bool
 (** Bernoulli draw with probability [p] of [true]. *)
 
+val step_bits : t -> rise:float -> fall:float -> prev:int -> n:int -> int
+(** [n] draws folded into the low bits of an [int], bit 0 first: bit [b]
+    is [bool ~p:rise] where bit [b] of [prev] is 0, and [not (bool
+    ~p:fall)] where it is 1 — exactly the draws [n] calls of {!bool}
+    would make, in the same order. *)
+
 val int : t -> bound:int -> int
 (** Uniform in [[0, bound)]; [bound] must be positive. *)
 

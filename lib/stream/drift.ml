@@ -53,13 +53,14 @@ let event_json e =
       ("cur_st", Json.Float e.cur_st);
     ]
 
-(* A closed or in-progress window: counts only. *)
+(* A closed or in-progress window: counts, plus the words of its last
+   vector (meaningful while [wn > 0], and never on a reference). *)
 type win = {
   mutable wn : int;
   mutable wtrans : int;
   w_ones : int array;
   w_toggles : int array;
-  mutable w_last : bool array option;
+  w_last : int array;
 }
 
 let fresh_win bits =
@@ -68,7 +69,7 @@ let fresh_win bits =
     wtrans = 0;
     w_ones = Array.make bits 0;
     w_toggles = Array.make bits 0;
-    w_last = None;
+    w_last = Array.make (Stimulus.Block.stride_of ~width:bits) 0;
   }
 
 type t = {
@@ -127,15 +128,14 @@ let snapshot_win w =
     wtrans = w.wtrans;
     w_ones = Array.copy w.w_ones;
     w_toggles = Array.copy w.w_toggles;
-    w_last = None;
+    w_last = Array.make (Array.length w.w_last) 0;
   }
 
 let reset_win w =
   w.wn <- 0;
   w.wtrans <- 0;
   Array.fill w.w_ones 0 (Array.length w.w_ones) 0;
-  Array.fill w.w_toggles 0 (Array.length w.w_toggles) 0;
-  w.w_last <- None
+  Array.fill w.w_toggles 0 (Array.length w.w_toggles) 0
 
 (* Judge the current window against the reference, then reset it.  The
    [drift_check] fault point can veto one judgement (counted), never the
@@ -187,27 +187,33 @@ let judge t =
   reset_win w;
   verdict
 
+let room t = t.cfg.window - t.cur.wn
+
+let observe_block t block ~first ~len =
+  if Stimulus.Block.width block <> t.width then
+    invalid_arg "Drift.observe_block: vector width mismatch";
+  if len < 0 || len > room t || first < 0 || first + len > Stimulus.Block.length block
+  then invalid_arg "Drift.observe_block: range outside the block or the window";
+  if len = 0 then None
+  else begin
+    let w = t.cur in
+    let prev = if w.wn > 0 then Some w.w_last else None in
+    Stimulus.Block.tally block ~first ~len ~prev ~ones:w.w_ones
+      ~toggles:w.w_toggles;
+    w.wtrans <- w.wtrans + (if w.wn > 0 then len else len - 1);
+    w.wn <- w.wn + len;
+    Stimulus.Block.store block (first + len - 1) w.w_last;
+    t.seen <- t.seen + len;
+    if w.wn >= t.cfg.window then judge t else None
+  end
+
 let observe t v =
-  if Array.length v <> t.width then
-    invalid_arg "Drift.observe: vector width mismatch";
-  let w = t.cur in
-  (match w.w_last with
-  | Some prev ->
-    for i = 0 to t.width - 1 do
-      if prev.(i) <> v.(i) then w.w_toggles.(i) <- w.w_toggles.(i) + 1
-    done;
-    w.wtrans <- w.wtrans + 1
-  | None -> ());
-  for i = 0 to t.width - 1 do
-    if v.(i) then w.w_ones.(i) <- w.w_ones.(i) + 1
-  done;
-  w.wn <- w.wn + 1;
-  w.w_last <- Some (Array.copy v);
-  t.seen <- t.seen + 1;
-  if w.wn >= t.cfg.window then judge t else None
+  let block = Stimulus.Block.of_bools ~width:t.width [| v |] in
+  observe_block t block ~first:0 ~len:1
 
 let flush t = if t.cur.wn > 0 then judge t else None
 
+let bits t = t.width
 let seen t = t.seen
 let events t = t.events
 let skipped_checks t = t.skipped
@@ -217,7 +223,7 @@ let armed t = t.armed
 
 let ints a = Json.List (Array.to_list (Array.map (fun v -> Json.Int v) a))
 
-let win_json w =
+let win_json ~bits ~reference w =
   Json.Obj
     [
       ("n", Json.Int w.wn);
@@ -225,12 +231,8 @@ let win_json w =
       ("ones", ints w.w_ones);
       ("toggles", ints w.w_toggles);
       ( "last",
-        match w.w_last with
-        | None -> Json.Null
-        | Some v ->
-          Json.String
-            (String.init (Array.length v) (fun i -> if v.(i) then '1' else '0'))
-      );
+        if reference || w.wn = 0 then Json.Null
+        else Json.String (Stimulus.Block.to_string ~width:bits w.w_last) );
     ]
 
 let to_json t =
@@ -246,9 +248,11 @@ let to_json t =
       ("armed", Json.Bool t.armed);
       ("events", Json.Int t.events);
       ("skipped", Json.Int t.skipped);
-      ("cur", win_json t.cur);
+      ("cur", win_json ~bits:t.width ~reference:false t.cur);
       ( "reference",
-        match t.reference with None -> Json.Null | Some r -> win_json r );
+        match t.reference with
+        | None -> Json.Null
+        | Some r -> win_json ~bits:t.width ~reference:true r );
     ]
 
 let of_json j =
@@ -271,19 +275,29 @@ let of_json j =
     | _ -> fail ("missing list " ^ k)
   in
   let ( let* ) = Result.bind in
-  let win_of ctx =
+  (* a window's counts are [bits] wide; the current window carries its
+     last vector exactly when it holds one, a reference never does *)
+  let win_of ~bits ~reference ctx =
     let* wn = int "n" ctx in
     let* wtrans = int "trans" ctx in
     let* w_ones = int_array "ones" ctx in
     let* w_toggles = int_array "toggles" ctx in
-    let* w_last =
-      match Json.member "last" ctx with
-      | Some Json.Null | None -> Ok None
-      | Some (Json.String s) ->
-        Ok (Some (Array.init (String.length s) (fun i -> s.[i] = '1')))
-      | Some _ -> fail "bad last vector"
+    let w = fresh_win bits in
+    let* () =
+      if Array.length w_ones <> bits || Array.length w_toggles <> bits then
+        fail "window count arrays do not match the width"
+      else Ok ()
     in
-    Ok { wn; wtrans; w_ones; w_toggles; w_last }
+    let* () =
+      match Json.member "last" ctx with
+      | Some Json.Null | None when reference || wn = 0 -> Ok ()
+      | Some (Json.String s) when (not reference) && wn > 0 -> (
+        match Stimulus.Block.of_string ~width:bits s with
+        | Some v -> Ok (Array.blit v 0 w.w_last 0 (Array.length v))
+        | None -> fail (Printf.sprintf "last vector is not %d bits of 0/1" bits))
+      | _ -> fail "last vector does not match the window"
+    in
+    Ok { w with wn; wtrans; w_ones; w_toggles }
   in
   let* window = int "window" j in
   let* min_samples = int "min_samples" j in
@@ -300,27 +314,21 @@ let of_json j =
   in
   let* events = int "events" j in
   let* skipped = int "skipped" j in
+  let* () = if bits < 1 then fail "bits must be >= 1" else Ok () in
   let* cur =
     match Json.member "cur" j with
-    | Some c -> win_of c
+    | Some c -> win_of ~bits ~reference:false c
     | None -> fail "missing cur window"
+  in
+  let* () =
+    if cur.wn < 0 || cur.wn >= cfg.window then
+      fail "current window count outside [0, window)"
+    else Ok ()
   in
   let* reference =
     match Json.member "reference" j with
     | Some Json.Null | None -> Ok None
-    | Some r -> Result.map Option.some (win_of r)
+    | Some r -> Result.map Option.some (win_of ~bits ~reference:true r)
   in
-  if bits < 1 || Array.length cur.w_ones <> bits then fail "width mismatch"
-  else
-    Ok
-      {
-        cfg;
-        width = bits;
-        seen;
-        windows;
-        cur;
-        reference;
-        armed;
-        events;
-        skipped;
-      }
+  Ok
+    { cfg; width = bits; seen; windows; cur; reference; armed; events; skipped }

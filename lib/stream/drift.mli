@@ -48,13 +48,25 @@ type t
 val create : ?config:config -> bits:int -> unit -> t
 (** Raises [Invalid_argument] on an invalid config or [bits < 1]. *)
 
+val room : t -> int
+(** Vectors left before the current window closes (at least 1). *)
+
+val observe_block :
+  t -> Stimulus.Block.t -> first:int -> len:int -> event option
+(** Feed vectors [[first, first + len)] of a packed block; [len] must not
+    exceed {!room}, so at most the last of them closes a window, and
+    [Some event] is returned when that window trips the detector.
+    Raises [Invalid_argument] on a width mismatch or a range outside the
+    block or the window. *)
+
 val observe : t -> bool array -> event option
-(** Feed one vector; [Some event] when it closes a window that trips the
-    detector. *)
+(** {!observe_block} of one vector. *)
 
 val flush : t -> event option
 (** Judge the current partial window, if it holds at least
     [min_samples] vectors; call once at end of stream. *)
+
+val bits : t -> int
 
 val seen : t -> int
 (** Vectors observed. *)

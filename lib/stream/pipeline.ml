@@ -72,6 +72,18 @@ type outcome = {
 
 let flush_quantum = 4 * Stats.shard_block
 
+(* [spread.(a lor (b lsl 4))] holds, little-endian, bit i of nibble [a]
+   in byte 2i and bit i of [b] in byte 2i + 1. *)
+let spread =
+  Array.init 256 (fun ab ->
+      let v = ref 0L in
+      for i = 0 to 3 do
+        let byte k bit = Int64.shift_left (Int64.of_int bit) (8 * k) in
+        v := Int64.logor !v (byte (2 * i) ((ab lsr i) land 1));
+        v := Int64.logor !v (byte ((2 * i) + 1) ((ab lsr (4 + i)) land 1))
+      done;
+      !v)
+
 (* --- event (de)serialization --------------------------------------- *)
 
 (* Deterministic fields only: timings are real measurements of this
@@ -243,17 +255,6 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
     else Ok ()
   in
   let compiled = Powermodel.Model.compile model in
-  let power ~x_i ~x_f =
-    Powermodel.Model.switched_capacitance_compiled compiled ~x_i ~x_f
-  in
-  (* ground truth for refit samples, one batch per flush: gate-level
-     simulation when available, else the exact/approximate model
-     itself *)
-  let label_batch =
-    match simulator with
-    | Some sim -> Gatesim.Simulator.switched_capacitance_batch sim
-    | None -> Array.map (fun (x_i, x_f) -> power ~x_i ~x_f)
-  in
   (* --- recover ----------------------------------------------------- *)
   let* restored =
     match cfg.checkpoint with
@@ -263,6 +264,28 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       | None -> Ok None
       | Some payload -> Result.map Option.some (restore_of_json payload))
     | _ -> Ok None
+  in
+  let* () =
+    match restored with
+    | None -> Ok ()
+    | Some r ->
+      let check part width expected =
+        if width = expected then Ok ()
+        else
+          Error
+            (Guard.Error.validation
+               ~context:
+                 [
+                   ("part", part);
+                   ("checkpoint", string_of_int width);
+                   ("source", string_of_int expected);
+                 ]
+               "checkpoint width does not match the source")
+      in
+      let* () = check "stats" (Stats.bits r.r_stats) bits in
+      let* () = check "drift" (Drift.bits r.r_drift) bits in
+      let* () = check "refit" (Refit.features r.r_refit - 1) bits in
+      check "lin" (Array.length r.r_lin - 1) bits
   in
   let* journal =
     match cfg.checkpoint with
@@ -300,35 +323,37 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
     Ingest.create ~capacity:((cfg.queue_capacity + block - 1) / block) cfg.policy
   in
   let shed = ref 0 in
-  let read_block () =
-    let items = Array.make block (Source.Malformed "") in
-    let rec fill k =
-      if k = block then k
-      else
-        match Source.next source with
-        | Some item ->
-          items.(k) <- item;
-          fill (k + 1)
-        | None -> k
-    in
-    let n = fill 0 in
-    if n = block then items else Array.sub items 0 n
+  (* record blocks circulate: the consumer hands each one back once it
+     is folded, and the producer refills it *)
+  let spare = Stack.create () and spare_lock = Mutex.create () in
+  let take_spare () =
+    Mutex.lock spare_lock;
+    let b = Stack.pop_opt spare in
+    Mutex.unlock spare_lock;
+    match b with Some b -> b | None -> Source.create_block source ~capacity:block
+  in
+  let give_back b =
+    Mutex.lock spare_lock;
+    Stack.push b spare;
+    Mutex.unlock spare_lock
   in
   let producer =
     Thread.create
       (fun () ->
         (* a short block means the source is exhausted *)
         let rec loop () =
-          let items = read_block () in
-          let n = Array.length items in
+          let b = take_spare () in
+          Source.fill source b;
+          let n = b.Source.records in
           if n > 0 then
-            match Ingest.push queue items with
+            match Ingest.push queue b with
             | Ok () -> if n = block then loop ()
             | Error e when Guard.Error.context_value e "reason" = Some "overloaded"
               ->
               (* shed: the block's records are dropped, the stream goes on *)
               shed := !shed + n;
               Obs.Metrics.add m_sheds n;
+              give_back b;
               if n = block then loop ()
             | Error _ -> ()  (* queue closed under us: stop reading *)
         in
@@ -336,7 +361,12 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
         Ingest.close queue)
       ()
   in
-  let prev = ref (Stats.last_vector stats) in
+  (* the flush buffer: the vectors of the next flush, after the
+     previous flush's last vector in slot 0 when there is one — that
+     is, once the statistics hold a vector *)
+  let chunk = Stimulus.Block.create ~width:bits ~capacity:(flush_quantum + 1) in
+  Option.iter (Stimulus.Block.push_words chunk) (Stats.last stats);
+  let context () = if Stats.vectors stats > 0 then 1 else 0 in
   let trans_seen = ref (Stats.transitions stats) in
   let checkpoints = ref 0 in
   let checkpoint_failures = ref 0 in
@@ -416,51 +446,109 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       attempt 0;
       last_ckpt := Stats.vectors stats
   in
-  (* one flush: the sharded stats fold, one labelling batch for the
-     flush's refit samples, then the sequential drift/refit walk, all
-     inside the [stream_ingest] fault boundary so an injected failure
-     retries the whole quantum before anything was committed *)
-  let flush chunk =
+  (* per-flush scratch: the transitions packed for the compiled model,
+     the sampled transitions and one refit row *)
+  let vstride = Powermodel.Vars.count ~inputs:bits in
+  let packed = Bytes.create ((flush_quantum * vstride) + 8) in
+  let ends = Array.make flush_quantum 0 in
+  let row = Array.make (bits + 1) 0.0 in
+  let wstride = Stimulus.Block.stride chunk in
+  let words = Stimulus.Block.words chunk in
+  (* Transition j - 1 -> j of the chunk, for j in [1, len), into slot
+     j - 1 of the batch buffer ({!Powermodel.Vars}' interleaved layout:
+     byte 2i is input i before, byte 2i + 1 after).  Four inputs at a
+     time: [spread] turns a nibble of each vector into the eight bytes
+     they occupy, written as one 64-bit store.  A store may run up to
+     eight bytes past the inputs it covers; ascending order overwrites
+     that spill with the right bytes, and the buffer has eight bytes of
+     slack for the last one. *)
+  let pack len =
+    for j = 1 to len - 1 do
+      let base = (j - 1) * vstride in
+      for w = 0 to wstride - 1 do
+        let a = words.(((j - 1) * wstride) + w) and b = words.((j * wstride) + w) in
+        let bit0 = w * Stimulus.Block.bits_per_word in
+        let q = ref 0 in
+        while !q < Int.min Stimulus.Block.bits_per_word (bits - bit0) do
+          let nibbles = ((a lsr !q) land 15) lor (((b lsr !q) land 15) lsl 4) in
+          Bytes.set_int64_le packed (base + (2 * (bit0 + !q))) spread.(nibbles);
+          q := !q + 4
+        done
+      done
+    done
+  in
+  (* the Lin features of transition j - 1 -> j: a constant, then one
+     per input that toggles *)
+  let fill_row j =
+    for i = 0 to bits - 1 do
+      let w = i / Stimulus.Block.bits_per_word in
+      let d =
+        words.(((j - 1) * wstride) + w) lxor words.((j * wstride) + w)
+      in
+      row.(i + 1) <-
+        (if (d lsr (i mod Stimulus.Block.bits_per_word)) land 1 = 1 then 1.0
+         else 0.0)
+    done;
+    row.(0) <- 1.0
+  in
+  (* one flush: the compiled model on every transition, the sharded
+     stats fold, one labelling batch for the flush's refit samples, then
+     the drift/refit walk window by window, all inside the
+     [stream_ingest] fault boundary so an injected failure retries the
+     whole quantum before anything was committed *)
+  let flush () =
     let idx = !flush_idx in
     incr flush_idx;
-    let n = Array.length chunk in
+    let len = Stimulus.Block.length chunk in
+    let first = context () in
+    let n = len - first in
     let body () =
       Guard.Fault.inject "stream_ingest";
       Obs.Trace.with_span "stream.flush"
         ~args:(fun () -> [ ("vectors", Json.Int n); ("flush", Json.Int idx) ])
         (fun () ->
-          Stats.consume ?jobs:cfg.jobs ~power stats chunk;
-          (* the transition ending at chunk.(k) starts at chunk.(k - 1),
-             or at the previous flush's last vector when k = 0; its
-             stream index is t0 + k *)
-          let start = !prev in
-          let t0 = if Option.is_none start then !trans_seen - 1 else !trans_seen in
-          let from k = if k = 0 then Option.get start else chunk.(k - 1) in
-          let sampled k =
-            cfg.sim_every > 0
-            && (k > 0 || Option.is_some start)
-            && (t0 + k) mod cfg.sim_every = 0
+          let power =
+            if len < 2 then [||]
+            else begin
+              pack len;
+              Powermodel.Model.eval_batch ?jobs:cfg.jobs compiled ~inputs:packed
+                ~n:(len - 1)
+            end
           in
-          let samples = ref [] in
-          for k = n - 1 downto 0 do
-            if sampled k then samples := (from k, chunk.(k)) :: !samples
-          done;
-          let labels = label_batch (Array.of_list !samples) in
+          Stats.consume_block ?jobs:cfg.jobs ~power stats chunk ~first;
+          (* the transition into chunk vector j has stream index
+             t0 + j - first *)
+          let t0 = if first = 0 then !trans_seen - 1 else !trans_seen in
+          let sampled = ref 0 in
+          if cfg.sim_every > 0 then
+            for j = 1 to len - 1 do
+              if (t0 + j - first) mod cfg.sim_every = 0 then begin
+                ends.(!sampled) <- j;
+                incr sampled
+              end
+            done;
+          let labels =
+            match simulator with
+            | Some sim ->
+              Gatesim.Simulator.switched_capacitance_block sim chunk
+                (Array.sub ends 0 !sampled)
+            | None -> Array.init !sampled (fun q -> power.(ends.(q) - 1))
+          in
           let next = ref 0 in
-          Array.iteri
-            (fun k v ->
-              if sampled k then begin
-                Refit.observe refit
-                  ~row:(Powermodel.Baselines.transition_features (from k) v)
-                  ~value:labels.(!next);
-                incr next
-              end;
-              match Drift.observe drift v with
-              | Some ev -> handle_event ev
-              | None -> ())
-            chunk;
+          let k = ref first in
+          while !k < len do
+            let m = Int.min (len - !k) (Drift.room drift) in
+            while !next < !sampled && ends.(!next) < !k + m do
+              fill_row ends.(!next);
+              Refit.observe refit ~row ~value:labels.(!next);
+              incr next
+            done;
+            (match Drift.observe_block drift chunk ~first:!k ~len:m with
+            | Some ev -> handle_event ev
+            | None -> ());
+            k := !k + m
+          done;
           trans_seen := t0 + n;
-          prev := Some chunk.(n - 1);
           Obs.Metrics.add m_vectors n)
     in
     let rec attempt k =
@@ -477,6 +565,9 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
         stopped := Some (Guard.Error.with_context [ ("flush", string_of_int idx) ] e)
     in
     attempt 0;
+    (* the last vector becomes the next flush's slot 0 *)
+    Stimulus.Block.blit ~src:chunk ~src_pos:(len - 1) ~dst:chunk ~dst_pos:0 ~len:1;
+    Stimulus.Block.truncate chunk 1;
     publish ();
     if Stats.vectors stats - !last_ckpt >= cfg.checkpoint_every then
       write_checkpoint ();
@@ -489,37 +580,47 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
     | None -> ());
     if cfg.throttle > 0.0 then Thread.delay cfg.throttle
   in
-  let buffer = Array.make flush_quantum [||] in
-  let buffered = ref 0 in
-  let drain_buffer () =
-    if !buffered > 0 then begin
-      flush (Array.sub buffer 0 !buffered);
-      buffered := 0
-    end
-  in
+  let buffered () = Stimulus.Block.length chunk - context () in
+  let drain_buffer () = if buffered () > 0 then flush () in
   (* flushes are cut at exactly [flush_quantum] valid vectors, wherever
-     the blocks begin and end *)
-  let take = function
-    | Source.Vector v ->
-      buffer.(!buffered) <- v;
-      incr buffered;
-      if !buffered = flush_quantum then drain_buffer ()
-    | Source.Malformed _ ->
-      incr quarantined;
-      Obs.Metrics.incr m_quarantined
+     the blocks begin and end; a malformed record is quarantined in its
+     place among them *)
+  let take (b : Source.block) =
+    let vb = b.Source.vectors in
+    let nvec = Stimulus.Block.length vb in
+    let bad = ref b.Source.malformed in
+    let quarantine_before c =
+      let rec go () =
+        match !bad with
+        | (p, _) :: rest when p < c ->
+          incr quarantined;
+          Obs.Metrics.incr m_quarantined;
+          bad := rest;
+          go ()
+        | _ -> ()
+      in
+      go ()
+    in
+    let pos = ref 0 in
+    while !pos < nvec && !stopped = None do
+      let m = Int.min (flush_quantum - buffered ()) (nvec - !pos) in
+      Stimulus.Block.blit ~src:vb ~src_pos:!pos ~dst:chunk
+        ~dst_pos:(Stimulus.Block.length chunk) ~len:m;
+      pos := !pos + m;
+      if buffered () = flush_quantum then begin
+        quarantine_before !pos;
+        drain_buffer ()
+      end
+    done;
+    if !stopped = None then quarantine_before max_int
   in
   let rec consume () =
     if !stopped = None then
       match Ingest.pop queue with
       | None -> ()
-      | Some items ->
-        let rec each k =
-          if k < Array.length items && !stopped = None then begin
-            take items.(k);
-            each (k + 1)
-          end
-        in
-        each 0;
+      | Some b ->
+        take b;
+        give_back b;
         consume ()
   in
   let outcome =

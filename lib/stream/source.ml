@@ -15,16 +15,33 @@ type gen = {
   sp0 : float;  (** the first phase's sp, where the first vector is drawn *)
   mutable phase : int;
   mutable emitted : int;  (** vectors emitted within the current phase *)
-  mutable prev : bool array option;
+  mutable started : bool;  (** whether [prev] holds a vector yet *)
+  prev : int array;  (** the previous vector's words *)
 }
 
 type file = { ic : in_channel; mutable eof : bool; mutable file_closed : bool }
 
 type body = Gen of gen | File of file
 
-type t = { width : int; body : body }
+type block = {
+  vectors : Stimulus.Block.t;
+  mutable records : int;
+  mutable malformed : (int * string) list;
+}
+
+type t = { width : int; body : body; one : block }
 
 let bits t = t.width
+
+let make_block width capacity =
+  {
+    vectors = Stimulus.Block.create ~width ~capacity;
+    records = 0;
+    malformed = [];
+  }
+
+let create_block t ~capacity = make_block t.width capacity
+let make width body = { width; body; one = make_block width 1 }
 
 let generator ~seed ~bits phases =
   let ( let* ) = Result.bind in
@@ -46,72 +63,94 @@ let generator ~seed ~bits phases =
     in
     let phase_arr = Array.of_list (List.rev rates) in
     Ok
-      {
-        width = bits;
-        body =
-          Gen
+      (make bits
+         (Gen
             {
               prng = Stimulus.Prng.create seed;
               phases = phase_arr;
               sp0 = (List.hd phases).sp;
               phase = 0;
               emitted = 0;
-              prev = None;
-            };
-      }
+              started = false;
+              prev = Array.make (Stimulus.Block.stride_of ~width:bits) 0;
+            }))
 
 let of_file ~path ~bits =
   if bits < 1 then
     Error (Guard.Error.validation "file source: bits must be >= 1")
   else
     match open_in path with
-    | ic -> Ok { width = bits; body = File { ic; eof = false; file_closed = false } }
+    | ic -> Ok (make bits (File { ic; eof = false; file_closed = false }))
     | exception Sys_error msg ->
       Error
         (Guard.Error.resource
            ~context:[ ("path", path) ]
            ("cannot open vector file: " ^ msg))
 
-let gen_next width g =
-  if g.phase >= Array.length g.phases then None
-  else begin
+(* Draw up to [room] vectors into [vb], phase by phase. *)
+let gen_fill g vb room =
+  let room = ref room in
+  while !room > 0 && g.phase < Array.length g.phases do
     let p01, p10, count = g.phases.(g.phase) in
-    let v =
-      match g.prev with
-      | None -> Stimulus.Generator.first g.prng ~bits:width ~sp:g.sp0
-      | Some prev -> Stimulus.Generator.step g.prng ~p01 ~p10 prev
-    in
-    g.prev <- Some v;
-    g.emitted <- g.emitted + 1;
+    let m = Int.min !room (count - g.emitted) in
+    for _ = 1 to m do
+      if g.started then Stimulus.Generator.draw_step g.prng ~p01 ~p10 ~prev:g.prev vb
+      else begin
+        Stimulus.Generator.draw_first g.prng ~sp:g.sp0 vb;
+        g.started <- true
+      end;
+      Stimulus.Block.store vb (Stimulus.Block.length vb - 1) g.prev
+    done;
+    room := !room - m;
+    g.emitted <- g.emitted + m;
     if g.emitted >= count then begin
       g.phase <- g.phase + 1;
       g.emitted <- 0
-    end;
-    Some (Vector v)
-  end
+    end
+  done
 
-let file_next width f =
-  if f.eof || f.file_closed then None
-  else
+(* Parse up to [capacity] lines into [b]; a malformed line keeps its
+   place as the count of vectors before it. *)
+let file_fill f b capacity =
+  let bad = ref [] in
+  while b.records < capacity && not (f.eof || f.file_closed) do
     match input_line f.ic with
     | line ->
-      if
-        String.length line = width
-        && String.for_all (fun c -> c = '0' || c = '1') line
-      then Some (Vector (Array.init width (fun i -> line.[i] = '1')))
-      else Some (Malformed line)
-    | exception End_of_file ->
-      f.eof <- true;
-      None
+      if not (Stimulus.Block.parse_into b.vectors line) then
+        bad := (Stimulus.Block.length b.vectors, line) :: !bad;
+      b.records <- b.records + 1
+    | exception End_of_file -> f.eof <- true
+  done;
+  b.malformed <- List.rev !bad
+
+let fill t b =
+  let vb = b.vectors in
+  Stimulus.Block.clear vb;
+  b.records <- 0;
+  b.malformed <- [];
+  let capacity = Stimulus.Block.capacity vb in
+  match t.body with
+  | Gen g ->
+    gen_fill g vb capacity;
+    b.records <- Stimulus.Block.length vb
+  | File f -> file_fill f b capacity
 
 let next t =
-  match t.body with
-  | Gen g -> gen_next t.width g
-  | File f -> file_next t.width f
+  fill t t.one;
+  match t.one.malformed with
+  | (_, line) :: _ -> Some (Malformed line)
+  | [] ->
+    if Stimulus.Block.length t.one.vectors = 1 then
+      Some (Vector (Stimulus.Block.to_bools t.one.vectors 0))
+    else None
 
 let skip t n =
-  for _ = 1 to n do
-    ignore (next t)
+  let left = ref n in
+  while !left > 0 do
+    let capacity = Int.min !left 512 in
+    let b = make_block t.width capacity in
+    fill t b;
+    left := if b.records < capacity then 0 else !left - capacity
   done
 
 let close t =

@@ -35,8 +35,29 @@ val of_file : path:string -> bits:int -> (t, Guard.Error.t) result
 
 val bits : t -> int
 
+(** {1 Record blocks} *)
+
+type block = {
+  vectors : Stimulus.Block.t;  (** the block's vectors, in record order *)
+  mutable records : int;  (** records read, vectors and malformed alike *)
+  mutable malformed : (int * string) list;
+      (** each malformed record, oldest first, with the number of the
+          block's vectors that precede it *)
+}
+
+val create_block : t -> capacity:int -> block
+(** An empty block for up to [capacity] records of this source's
+    width. *)
+
+val fill : t -> block -> unit
+(** Replace the block's contents with the next [capacity] records, or
+    with what is left when fewer remain: a block holding fewer records
+    than its capacity means the source is exhausted. *)
+
+(** {1 One record at a time} *)
+
 val next : t -> item option
-(** [None] when exhausted. *)
+(** [None] when exhausted.  A one-record {!fill}. *)
 
 val skip : t -> int -> unit
 (** Discard the next [n] records (vectors and malformed lines alike). *)

@@ -18,8 +18,8 @@ type t = {
   mutable trans : int;
   ones : int array;
   toggles : int array;
-  mutable first : bool array option;
-  mutable last : bool array option;
+  first : int array;  (** words of the first vector, when [n > 0] *)
+  last : int array;  (** words of the last vector, when [n > 0] *)
   mutable pn : int;
   mutable p_mean : float;
   mutable p_m2 : float;
@@ -31,6 +31,7 @@ type t = {
 
 let create ?(weight = Weight.Equal) ~bits () =
   if bits < 1 then invalid_arg "Stats.create: bits must be >= 1";
+  let stride = Stimulus.Block.stride_of ~width:bits in
   {
     wt = weight;
     width = bits;
@@ -40,8 +41,8 @@ let create ?(weight = Weight.Equal) ~bits () =
     trans = 0;
     ones = Array.make bits 0;
     toggles = Array.make bits 0;
-    first = None;
-    last = None;
+    first = Array.make stride 0;
+    last = Array.make stride 0;
     pn = 0;
     p_mean = 0.0;
     p_m2 = 0.0;
@@ -56,49 +57,22 @@ let copy t =
     t with
     ones = Array.copy t.ones;
     toggles = Array.copy t.toggles;
-    first = Option.map Array.copy t.first;
-    last = Option.map Array.copy t.last;
+    first = Array.copy t.first;
+    last = Array.copy t.last;
   }
 
 let weight t = t.wt
 let bits t = t.width
-
-let observe t ?power v =
-  if Array.length v <> t.width then
-    invalid_arg "Stats.observe: vector width mismatch";
-  (match t.last with
-  | Some prev ->
-    for i = 0 to t.width - 1 do
-      if prev.(i) <> v.(i) then t.toggles.(i) <- t.toggles.(i) + 1
-    done;
-    t.trans <- t.trans + 1
-  | None -> ());
-  for i = 0 to t.width - 1 do
-    if v.(i) then t.ones.(i) <- t.ones.(i) + 1
-  done;
-  t.n <- t.n + 1;
-  if t.first = None then t.first <- Some (Array.copy v);
-  t.last <- Some (Array.copy v);
-  match power with
-  | None -> ()
-  | Some p ->
-    t.pn <- t.pn + 1;
-    let d = p -. t.p_mean in
-    t.p_mean <- t.p_mean +. (d /. float_of_int t.pn);
-    t.p_m2 <- t.p_m2 +. (d *. (p -. t.p_mean));
-    if p < t.p_min then t.p_min <- p;
-    if p > t.p_max then t.p_max <- p;
-    let g = Weight.at t.wt ~n:(t.pstart + t.pn) in
-    t.w_decay <- t.w_decay *. (1.0 -. g);
-    t.w_mean <- ((1.0 -. g) *. t.w_mean) +. (g *. p)
 
 let merge_into a b =
   if a.width <> b.width then invalid_arg "Stats.merge: width mismatch";
   if a.wt <> b.wt then invalid_arg "Stats.merge: weight schedule mismatch";
   if a.n = 0 then begin
     a.start <- b.start;
-    a.pstart <- b.pstart
+    a.pstart <- b.pstart;
+    Array.blit b.first 0 a.first 0 (Array.length a.first)
   end;
+  if b.n > 0 then Array.blit b.last 0 a.last 0 (Array.length a.last);
   for i = 0 to a.width - 1 do
     a.ones.(i) <- a.ones.(i) + b.ones.(i);
     a.toggles.(i) <- a.toggles.(i) + b.toggles.(i)
@@ -127,11 +101,7 @@ let merge_into a b =
     a.pn <- a.pn + b.pn
   end;
   a.w_mean <- (b.w_decay *. a.w_mean) +. b.w_mean;
-  a.w_decay <- a.w_decay *. b.w_decay;
-  if a.first = None then a.first <- Option.map Array.copy b.first;
-  (match b.last with
-  | Some v -> a.last <- Some (Array.copy v)
-  | None -> ())
+  a.w_decay <- a.w_decay *. b.w_decay
 
 let merge a b =
   let out = copy a in
@@ -142,37 +112,75 @@ let merge a b =
 
 let shard_block = 512
 
-let consume ?jobs ?power t vectors =
-  let total = Array.length vectors in
+(* Welford and the weighted mean over [power.(p0) .. power.(p0 + m -
+   1)], in order — one observation per transition, as a sequential fold
+   takes them. *)
+let observe_powers s power p0 m =
+  let pn = ref s.pn and mean = ref s.p_mean and m2 = ref s.p_m2 in
+  let mn = ref s.p_min and mx = ref s.p_max in
+  let decay = ref s.w_decay and wmean = ref s.w_mean in
+  for q = p0 to p0 + m - 1 do
+    let p = power.(q) in
+    incr pn;
+    let d = p -. !mean in
+    mean := !mean +. (d /. float_of_int !pn);
+    m2 := !m2 +. (d *. (p -. !mean));
+    if p < !mn then mn := p;
+    if p > !mx then mx := p;
+    let g = Weight.at s.wt ~n:(s.pstart + !pn) in
+    decay := !decay *. (1.0 -. g);
+    wmean := ((1.0 -. g) *. !wmean) +. (g *. p)
+  done;
+  s.pn <- !pn;
+  s.p_mean <- !mean;
+  s.p_m2 <- !m2;
+  s.p_min <- !mn;
+  s.p_max <- !mx;
+  s.w_decay <- !decay;
+  s.w_mean <- !wmean
+
+let consume_block ?jobs ?power t block ~first =
+  let total = Stimulus.Block.length block - first in
+  if Stimulus.Block.width block <> t.width then
+    invalid_arg "Stats.consume_block: vector width mismatch";
+  if first < 0 || total < 0 then invalid_arg "Stats.consume_block: bad first";
+  let had_pred = t.n > 0 in
+  let transitions = if had_pred then total else Int.max 0 (total - 1) in
+  (match power with
+  | Some p when Array.length p < transitions ->
+    invalid_arg "Stats.consume_block: fewer powers than transitions"
+  | _ -> ());
   if total > 0 then begin
     let nblocks = ((total - 1) / shard_block) + 1 in
-    let had_pred = t.last <> None in
+    let stride = Stimulus.Block.stride block in
     let build b =
       let off = b * shard_block in
       let len = Int.min shard_block (total - off) in
-      let prev =
-        if b = 0 then Option.map Array.copy t.last else Some vectors.(off - 1)
-      in
       let s = create ~weight:t.wt ~bits:t.width () in
       s.start <- t.start + t.n + off;
       (* power observations preceding this block: one per earlier vector
          of the chunk when the stream already had a last vector, else one
          per earlier vector after the very first *)
-      s.pstart <-
-        t.pstart + t.pn + (if had_pred then off else Int.max 0 (off - 1));
-      s.last <- prev;
-      for k = off to off + len - 1 do
-        let v = vectors.(k) in
-        let p =
-          match (power, s.last) with
-          | Some f, Some prev -> Some (f ~x_i:prev ~x_f:v)
-          | _ -> None
-        in
-        observe s ?power:p v
-      done;
-      (* the predecessor was transition context only, not part of this
-         block's vectors: [observe] never counted its ones, and [first]
-         is the block's own first vector *)
+      let before = if had_pred then off else Int.max 0 (off - 1) in
+      s.pstart <- t.pstart + t.pn + before;
+      let prev =
+        if b > 0 then begin
+          let w = Array.make stride 0 in
+          Stimulus.Block.store block (first + off - 1) w;
+          Some w
+        end
+        else if had_pred then Some t.last
+        else None
+      in
+      Stimulus.Block.tally block ~first:(first + off) ~len ~prev ~ones:s.ones
+        ~toggles:s.toggles;
+      s.n <- len;
+      s.trans <- (if Option.is_some prev then len else len - 1);
+      Stimulus.Block.store block (first + off) s.first;
+      Stimulus.Block.store block (first + off + len - 1) s.last;
+      (match power with
+      | Some p -> observe_powers s p before s.trans
+      | None -> ());
       s
     in
     let summaries =
@@ -182,11 +190,27 @@ let consume ?jobs ?power t vectors =
     List.iter (fun s -> merge_into t s) summaries
   end
 
+let consume ?jobs ?power t vectors =
+  let power =
+    Option.map
+      (fun f ->
+        let last = Array.init t.width (Stimulus.Block.bit t.last) in
+        let k0 = if t.n > 0 then 0 else 1 in
+        Array.init
+          (Int.max 0 (Array.length vectors - k0))
+          (fun q ->
+            let k = q + k0 in
+            f ~x_i:(if k = 0 then last else vectors.(k - 1)) ~x_f:vectors.(k)))
+      power
+  in
+  consume_block ?jobs ?power t (Stimulus.Block.of_bools ~width:t.width vectors)
+    ~first:0
+
 (* --- readings ------------------------------------------------------ *)
 
 let vectors t = t.n
 let transitions t = t.trans
-let last_vector t = Option.map Array.copy t.last
+let last t = if t.n > 0 then Some (Array.copy t.last) else None
 
 let ratio num den =
   if den = 0 then 0.0 else float_of_int num /. float_of_int den
@@ -205,9 +229,6 @@ let power_max t = t.p_max
 let weighted_power_mean t = t.w_mean
 
 (* --- serialization ------------------------------------------------- *)
-
-let bits_string v =
-  String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
 
 let floats a = Json.List (Array.to_list (Array.map (fun v -> Json.Float v) a))
 let ints a = Json.List (Array.to_list (Array.map (fun v -> Json.Int v) a))
@@ -239,9 +260,9 @@ let snapshot_json t =
           ] );
     ]
 
-let opt_bits = function
-  | None -> Json.Null
-  | Some v -> Json.String (bits_string v)
+let opt_bits t v =
+  if t.n = 0 then Json.Null
+  else Json.String (Stimulus.Block.to_string ~width:t.width v)
 
 let to_json t =
   Json.Obj
@@ -254,8 +275,8 @@ let to_json t =
       ("trans", Json.Int t.trans);
       ("ones", ints t.ones);
       ("toggles", ints t.toggles);
-      ("first", opt_bits t.first);
-      ("last", opt_bits t.last);
+      ("first", opt_bits t t.first);
+      ("last", opt_bits t t.last);
       ("pn", Json.Int t.pn);
       ("p_mean", Json.Float t.p_mean);
       ("p_m2", Json.Float t.p_m2);
@@ -284,12 +305,20 @@ let of_json j =
       with _ -> fail ("bad int list " ^ k))
     | _ -> fail ("missing list " ^ k)
   in
-  let vec k =
+  (* a vector is present exactly when the estimator holds one: [n]
+     bits of 0/1, rendered by [to_json] *)
+  let vec ~bits ~n k =
     match Json.member k j with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.String s) ->
-      Ok (Some (Array.init (String.length s) (fun i -> s.[i] = '1')))
-    | Some _ -> fail ("bad vector " ^ k)
+    | (Some Json.Null | None) when n = 0 ->
+      Ok (Array.make (Stimulus.Block.stride_of ~width:bits) 0)
+    | Some (Json.String s) when n > 0 -> (
+      match Stimulus.Block.of_string ~width:bits s with
+      | Some w -> Ok w
+      | None -> fail (Printf.sprintf "vector %s is not %d bits of 0/1" k bits))
+    | _ ->
+      fail
+        (Printf.sprintf "vector %s must be %s" k
+           (if n = 0 then "null on an empty estimator" else "a bitstring"))
   in
   let ( let* ) = Result.bind in
   let* wt =
@@ -309,8 +338,8 @@ let of_json j =
     if Array.length ones <> bits || Array.length toggles <> bits then
       fail "count array width mismatch"
     else
-      let* first = vec "first" in
-      let* last = vec "last" in
+      let* first = vec ~bits ~n "first" in
+      let* last = vec ~bits ~n "last" in
       let* pn = int "pn" in
       let* p_mean = flt "p_mean" in
       let* p_m2 = flt "p_m2" in

@@ -10,7 +10,7 @@
       affine map an observation block applies to any prior mean, so
       blocks compose.
 
-    {b Determinism.}  {!consume} always splits its input into fixed
+    {b Determinism.}  {!consume_block} always splits its input into fixed
     {!shard_block}-sized blocks, builds one summary per block (each
     worker knows its block's global offsets and its predecessor vector,
     so boundary toggles, boundary power and weight steps are computed
@@ -36,12 +36,6 @@ val copy : t -> t
 val weight : t -> Weight.t
 val bits : t -> int
 
-val observe : t -> ?power:float -> bool array -> unit
-(** Sequential update with one vector (and the power of the transition
-    leading into it, when there is one).  The deterministic bulk path is
-    {!consume}; [observe] is the block-internal and small-test
-    primitive.  Raises [Invalid_argument] on a width mismatch. *)
-
 val merge : t -> t -> t
 (** [merge a b] — a fresh summary equivalent to observing [a]'s block
     then [b]'s.  Inputs are unchanged.  Raises [Invalid_argument] on
@@ -54,26 +48,35 @@ val shard_block : int
 (** Vectors per parallel shard (fixed, so the split never depends on the
     worker count). *)
 
+val consume_block :
+  ?jobs:int -> ?power:float array -> t -> Stimulus.Block.t -> first:int -> unit
+(** Fold vectors [[first, length)] of a packed block into the estimator,
+    sharding {!shard_block}-sized runs over the {!Parallel.Pool}.  The
+    first of them follows the estimator's last vector (when it has one);
+    any block vector before [first] is ignored.  [power] holds one
+    observation per transition the fold closes, in order: [length -
+    first] of them when the estimator already had a last vector, one
+    fewer otherwise.  Byte-identical results for every job count.
+    Raises [Invalid_argument] on a width mismatch or too few powers. *)
+
 val consume :
   ?jobs:int ->
   ?power:(x_i:bool array -> x_f:bool array -> float) ->
   t ->
   bool array array ->
   unit
-(** Fold a chunk of vectors into the estimator, sharding
-    {!shard_block}-sized blocks over the {!Parallel.Pool}.  [power]
-    (typically a compiled-model lookup) is evaluated for every
-    transition, including each block's incoming boundary transition.
-    Byte-identical results for every job count. *)
+(** {!consume_block} over the packed vectors, with [power] evaluated for
+    every transition, including the one from the estimator's last
+    vector. *)
 
 (** {1 Readings} *)
 
 val vectors : t -> int
 val transitions : t -> int
 
-val last_vector : t -> bool array option
-(** A copy of the most recent vector — the transition context a resumed
-    consumer continues from. *)
+val last : t -> int array option
+(** The words ({!Stimulus.Block}) of the most recent vector — the
+    transition context a resumed consumer continues from. *)
 
 val sp : t -> float array
 (** Per-input measured signal probability ([0.] on an empty stream). *)

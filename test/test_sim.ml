@@ -150,7 +150,14 @@ let check_sim what sim prng =
     (fun len ->
       let pairs = Array.init len (fun _ -> (vec (), vec ())) in
       let expected = Array.map (fun (a, b) -> scalar a b) pairs in
-      let got = Gatesim.Simulator.switched_capacitance_batch sim pairs in
+      let block =
+        Stimulus.Block.of_bools ~width:n
+          (Array.concat (Array.to_list (Array.map (fun (a, b) -> [| a; b |]) pairs)))
+      in
+      let got =
+        Gatesim.Simulator.switched_capacitance_block sim block
+          (Array.init len (fun k -> (2 * k) + 1))
+      in
       if bits_of got <> bits_of expected then
         QCheck.Test.fail_reportf "%s: batch of %d differs from eval" what len;
       Array.iteri

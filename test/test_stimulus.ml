@@ -151,8 +151,44 @@ let one_markov_chain () =
       (show streamed);
     Alcotest.(check bool) "and then ends" true (Stream.Source.next source = None)
 
+(* [step_bits] is [n] calls of [bool], draw for draw: the same bits and
+   the same generator state after, including the probabilities [bool]
+   answers without a draw and thresholds at the edges of the 53-bit
+   grid. *)
+let step_bits_equals_bools =
+  let p_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float_bound_inclusive 1.0;
+          oneofl [ 0.0; 1.0; -0.5; 1.5; 1e-300; 0x1p-53; 1.0 -. 0x1p-53; 0.5; nan ];
+        ])
+  in
+  Util.qtest ~count:500 "step_bits draws what bool draws"
+    (QCheck.make
+       ~print:(fun (rise, fall, prev, n, seed) ->
+         Printf.sprintf "rise %h fall %h prev %x n %d seed %d" rise fall prev n seed)
+       QCheck.Gen.(
+         let* rise = p_gen and* fall = p_gen in
+         let* prev = int_bound max_int and* n = int_range 0 63 in
+         let* seed = int_bound 100_000 in
+         return (rise, fall, prev, n, seed)))
+    (fun (rise, fall, prev, n, seed) ->
+      let a = Stimulus.Prng.create seed and b = Stimulus.Prng.create seed in
+      let got = Stimulus.Prng.step_bits a ~rise ~fall ~prev ~n in
+      let expected = ref 0 in
+      for i = 0 to n - 1 do
+        let bit =
+          if (prev lsr i) land 1 = 1 then not (Stimulus.Prng.bool b ~p:fall)
+          else Stimulus.Prng.bool b ~p:rise
+        in
+        if bit then expected := !expected lor (1 lsl i)
+      done;
+      got = !expected && Stimulus.Prng.next_int64 a = Stimulus.Prng.next_int64 b)
+
 let suite =
   [
+    step_bits_equals_bools;
     Alcotest.test_case "prng determinism" `Quick prng_deterministic;
     Alcotest.test_case "prng seed sensitivity" `Quick prng_seed_sensitivity;
     Alcotest.test_case "prng int bounds" `Quick prng_int_bounds;

@@ -49,9 +49,13 @@ let weight_schedules () =
 
 let obs_bits = 3
 
+(* one packed fold; each vector after the first brings the power of
+   the transition into it *)
 let of_obs l =
   let t = Stream.Stats.create ~bits:obs_bits () in
-  List.iter (fun (v, p) -> Stream.Stats.observe t ~power:p v) l;
+  let block = Stimulus.Block.of_bools ~width:obs_bits (Array.of_list (List.map fst l)) in
+  let power = match l with [] -> [||] | _ :: rest -> Array.of_list (List.map snd rest) in
+  Stream.Stats.consume_block ~power t block ~first:0;
   t
 
 let obs_arbitrary =
@@ -136,27 +140,15 @@ let consume_jobs_identity () =
   in
   Alcotest.(check string) "chunked = one-shot" (run 1 Stream.Weight.Equal)
     chunked;
-  (* counts agree exactly with a sequential fold; moments to tolerance *)
-  let seq = Stream.Stats.create ~bits () in
-  Array.iteri
-    (fun i v ->
-      let power = if i = 0 then None else Some (fake_power ~x_i:vectors.(i - 1) ~x_f:v) in
-      Stream.Stats.observe seq ?power v)
-    vectors;
+  (* the packed fold equals the per-vector reference, counts and float
+     bits alike *)
+  let seq = Stream_ref.Stats.create ~bits () in
+  Stream_ref.Stats.consume ~power:fake_power seq vectors;
   let par = Stream.Stats.create ~bits () in
   Stream.Stats.consume ~jobs:4 ~power:fake_power par vectors;
-  Alcotest.(check int) "vectors" (Stream.Stats.vectors seq)
-    (Stream.Stats.vectors par);
-  Alcotest.(check int) "transitions" (Stream.Stats.transitions seq)
-    (Stream.Stats.transitions par);
-  Alcotest.(check bool) "sp exact" true
-    (Stream.Stats.sp seq = Stream.Stats.sp par);
-  Alcotest.(check bool) "st exact" true
-    (Stream.Stats.st seq = Stream.Stats.st par);
-  Util.check_close "power mean" (Stream.Stats.power_mean seq)
-    (Stream.Stats.power_mean par);
-  Util.check_close "weighted mean" (Stream.Stats.weighted_power_mean seq)
-    (Stream.Stats.weighted_power_mean par)
+  Alcotest.(check string) "packed fold = per-vector reference"
+    (Json.to_string (Stream_ref.Stats.to_json seq))
+    (Json.to_string (Stream.Stats.to_json par))
 
 let stats_checkpoint_roundtrip () =
   let bits = 4 in
@@ -728,6 +720,355 @@ let pipeline_sigkill_resume () =
     reference
     (Json.to_string (Stream.Pipeline.stats_json o))
 
+(* ---- pinned bytes ---- *)
+
+let golden_file () =
+  let path = if Sys.file_exists "stream.golden" then "stream.golden" else "test/stream.golden" in
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Every case reproduces the pinned statistics and checkpoint bytes
+   under each job count and queue capacity, and after a resume from
+   each checkpoint seam of a truncated journal. *)
+let stream_golden_replay () =
+  let golden = golden_file () in
+  Alcotest.(check (list string)) "jobs 1, queue 4096" golden (Stream_golden.capture ());
+  let expect run case what got =
+    let key = Printf.sprintf "%s %s " case.Stream_golden.name what in
+    match List.find_opt (String.starts_with ~prefix:key) golden with
+    | Some line ->
+      Alcotest.(check string) (run ^ ": " ^ key)
+        (String.sub line (String.length key) (String.length line - String.length key))
+        got
+    | None -> Alcotest.failf "no golden line %S" key
+  in
+  let check_run run case r =
+    expect run case "stats" r.Stream_golden.stats;
+    expect run case "ckpts" r.ckpts
+  in
+  List.iter
+    (fun case ->
+      List.iter
+        (fun (jobs, queue_capacity) ->
+          Stream_golden.with_journal (fun path ->
+              check_run
+                (Printf.sprintf "jobs %d queue %d" jobs queue_capacity)
+                case
+                (Stream_golden.run ~jobs ~queue_capacity ~path case)))
+        [ (2, 1); (4, 700) ];
+      Stream_golden.with_journal (fun path ->
+          ignore (Stream_golden.run ~jobs:1 ~queue_capacity:4096 ~path case);
+          let total = Stream_golden.keep_lines path max_int in
+          let seams = if case.name = "default" then List.init (total - 1) succ else [ 2 ] in
+          List.iter
+            (fun k ->
+              ignore (Stream_golden.run ~jobs:1 ~queue_capacity:4096 ~path case);
+              ignore (Stream_golden.keep_lines path k);
+              check_run (Printf.sprintf "resumed after %d checkpoints" k) case
+                (Stream_golden.run ~resume:true ~jobs:2 ~queue_capacity:1 ~path case))
+            seams))
+    Stream_golden.cases
+
+(* ---- the packed folds against the per-vector reference ---- *)
+
+(* Ints exactly, floats by their bits. *)
+let rec json_same path a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y ->
+    if Int64.bits_of_float x <> Int64.bits_of_float y then
+      QCheck.Test.fail_reportf "%s: %h <> %h" path x y
+  | Json.List xs, Json.List ys when List.length xs = List.length ys ->
+    List.iteri (fun i (x, y) -> json_same (Printf.sprintf "%s[%d]" path i) x y)
+      (List.combine xs ys)
+  | Json.Obj xs, Json.Obj ys when List.map fst xs = List.map fst ys ->
+    List.iter2 (fun (k, x) (_, y) -> json_same (path ^ "." ^ k) x y) xs ys
+  | _ ->
+    if a <> b then
+      QCheck.Test.fail_reportf "%s: %s <> %s" path
+        (Json.to_string ~pretty:false a) (Json.to_string ~pretty:false b)
+
+let reparse j =
+  match Json.of_string (Json.to_string j) with
+  | Ok j -> j
+  | Error e -> failwith e
+
+type fold_case = {
+  width : int;
+  chunks : int list;
+  jobs : int;
+  seam : int;
+  window : int;
+  min_samples : int;
+  seed : int;
+}
+
+let fold_case_gen =
+  QCheck.Gen.(
+    let* width = oneof [ int_range 1 8; int_range 60 66; int_range 120 130 ] in
+    let* chunks = list_size (int_range 1 6) (int_range 0 1300) in
+    let* jobs = int_range 1 2 in
+    let* seam = int_range 0 (List.length chunks) in
+    let* window = int_range 2 700 in
+    let* min_samples = int_range 2 window in
+    let* seed = int_range 0 10_000 in
+    return { width; chunks; jobs; seam; window; min_samples; seed })
+
+let print_fold_case c =
+  Printf.sprintf "width %d, chunks [%s], jobs %d, seam %d, window %d/%d, seed %d"
+    c.width
+    (String.concat "; " (List.map string_of_int c.chunks))
+    c.jobs c.seam c.window c.min_samples c.seed
+
+let packed_folds_match_reference =
+  Util.qtest ~count:40 "packed stats and drift folds equal the per-vector reference"
+    (QCheck.make fold_case_gen ~print:print_fold_case)
+    (fun c ->
+      let prng = Stimulus.Prng.create c.seed in
+      let config =
+        { Stream.Drift.window = c.window; min_samples = c.min_samples; high = 0.05; low = 0.02 }
+      in
+      let weight = Stream.Weight.Exponential 0.03 in
+      let stats = ref (Stream.Stats.create ~weight ~bits:c.width ()) in
+      let drift = ref (Stream.Drift.create ~config ~bits:c.width ()) in
+      let rstats = Stream_ref.Stats.create ~weight ~bits:c.width () in
+      let rdrift = Stream_ref.Drift.create ~config ~bits:c.width () in
+      let events = ref [] and revents = ref [] in
+      let prev = ref None in
+      List.iteri
+        (fun i len ->
+          if i = c.seam then begin
+            let restore of_json j =
+              match of_json (reparse j) with
+              | Ok v -> v
+              | Error e -> QCheck.Test.fail_reportf "restore: %s" (Guard.Error.to_string e)
+            in
+            stats := restore Stream.Stats.of_json (Stream.Stats.to_json !stats);
+            drift := restore Stream.Drift.of_json (Stream.Drift.to_json !drift)
+          end;
+          (* a regime per chunk, so windows differ and events fire *)
+          let p = Stimulus.Prng.float prng in
+          let vectors =
+            Array.init len (fun _ -> Array.init c.width (fun _ -> Stimulus.Prng.bool prng ~p))
+          in
+          let power =
+            let from = ref !prev and out = ref [] in
+            Array.iter
+              (fun v ->
+                Option.iter (fun u -> out := fake_power ~x_i:u ~x_f:v :: !out) !from;
+                from := Some v)
+              vectors;
+            Array.of_list (List.rev !out)
+          in
+          if len > 0 then prev := Some vectors.(len - 1);
+          let block = Stimulus.Block.of_bools ~width:c.width vectors in
+          Stream.Stats.consume_block ~jobs:c.jobs ~power !stats block ~first:0;
+          Stream_ref.Stats.consume ~power:fake_power rstats vectors;
+          let k = ref 0 in
+          while !k < len do
+            let m = Int.min (len - !k) (Stream.Drift.room !drift) in
+            (match Stream.Drift.observe_block !drift block ~first:!k ~len:m with
+            | Some ev -> events := ev.Stream.Drift.at :: !events
+            | None -> ());
+            k := !k + m
+          done;
+          Array.iter
+            (fun v ->
+              if Stream_ref.Drift.observe rdrift v then
+                revents := rdrift.Stream_ref.Drift.seen :: !revents)
+            vectors)
+        c.chunks;
+      json_same "stats" (Stream_ref.Stats.to_json rstats) (Stream.Stats.to_json !stats);
+      json_same "drift" (Stream_ref.Drift.to_json rdrift) (Stream.Drift.to_json !drift);
+      if !events <> !revents then QCheck.Test.fail_report "drift events differ";
+      true)
+
+(* The pipeline's packed power batch against the scalar compiled model:
+   the statistics of a stream equal a per-vector fold, in the
+   pipeline's flush quanta, whose power is
+   [switched_capacitance_compiled] of each transition — at a width of
+   one word and at widths spanning two and three. *)
+let pipeline_power_matches_scalar_model () =
+  List.iter
+    (fun width ->
+      (* a few gates on inputs either side of the 63-bit word seams *)
+      let circuit =
+        let open Netlist.Builder in
+        let b = create ~name:(Printf.sprintf "wide%d" width) in
+        let x = inputs b "x" width in
+        let at i = x.(i mod width) in
+        let g1 = and2 b (at 62) (at 63) in
+        let g2 = xor2 b (at 0) (at (width - 1)) in
+        let g3 = or2 b (at 64) (at 126) in
+        let g4 = mux2 b ~sel:(at 125) ~if0:g1 ~if1:g2 in
+        List.iteri (fun k g -> output b (Printf.sprintf "y%d" k) g) [ g1; g2; g3; g4; not_ b g3 ];
+        finish b
+      in
+      let model = Powermodel.Model.build circuit in
+      let compiled = Powermodel.Model.compile model in
+      let phases = [ { Stream.Source.sp = 0.4; st = 0.3; count = 5000 } ] in
+      let source () = ok_or_fail "source" (Stream.Source.generator ~seed:9 ~bits:width phases) in
+      let o =
+        ok_or_fail "pipeline"
+          (Stream.Pipeline.run { (pipeline_cfg 2) with sim_every = 0 } ~model ~source:(source ()))
+      in
+      let reference = Stream_ref.Stats.create ~bits:width () in
+      let src = source () in
+      let rec chunks () =
+        let chunk =
+          List.filter_map
+            (fun _ ->
+              match Stream.Source.next src with
+              | Some (Stream.Source.Vector v) -> Some v
+              | _ -> None)
+            (List.init Stream.Pipeline.flush_quantum Fun.id)
+        in
+        if chunk <> [] then begin
+          Stream_ref.Stats.consume
+            ~power:(fun ~x_i ~x_f ->
+              Powermodel.Model.switched_capacitance_compiled compiled ~x_i ~x_f)
+            reference (Array.of_list chunk);
+          chunks ()
+        end
+      in
+      chunks ();
+      Alcotest.(check string)
+        (Printf.sprintf "%d inputs" width)
+        (Json.to_string (Stream_ref.Stats.to_json reference))
+        (Json.to_string (Stream.Stats.to_json o.Stream.Pipeline.stats)))
+    [ 11; 63; 64; 130 ]
+
+(* ---- allocation ---- *)
+
+(* Source, stats and drift move whole blocks: one 2048-vector flush
+   allocates a few hundred words, not words per vector. *)
+let block_fold_allocation () =
+  let bits = 11 in
+  let source =
+    ok_or_fail "source"
+      (Stream.Source.generator ~seed:3 ~bits
+         [ { Stream.Source.sp = 0.5; st = 0.2; count = 1_000_000 } ])
+  in
+  let b = Stream.Source.create_block source ~capacity:Stream.Stats.shard_block in
+  let chunk = Stimulus.Block.create ~width:bits ~capacity:Stream.Pipeline.flush_quantum in
+  let stats = Stream.Stats.create ~bits () in
+  let drift = Stream.Drift.create ~bits () in
+  let flush () =
+    Stimulus.Block.clear chunk;
+    while Stimulus.Block.length chunk < Stream.Pipeline.flush_quantum do
+      Stream.Source.fill source b;
+      Stimulus.Block.blit ~src:b.Stream.Source.vectors ~src_pos:0 ~dst:chunk
+        ~dst_pos:(Stimulus.Block.length chunk)
+        ~len:(Stimulus.Block.length b.Stream.Source.vectors)
+    done;
+    Stream.Stats.consume_block ~jobs:1 stats chunk ~first:0;
+    let k = ref 0 in
+    while !k < Stream.Pipeline.flush_quantum do
+      let m = Int.min (Stream.Pipeline.flush_quantum - !k) (Stream.Drift.room drift) in
+      ignore (Stream.Drift.observe_block drift chunk ~first:!k ~len:m);
+      k := !k + m
+    done
+  in
+  flush ();
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let one = words flush in
+  let four = words (fun () -> for _ = 1 to 4 do flush () done) in
+  if one > 1024.0 then
+    Alcotest.failf "one flush of %d vectors allocated %.0f minor words"
+      Stream.Pipeline.flush_quantum one;
+  Alcotest.(check bool)
+    (Printf.sprintf "four flushes: %.0f words, one: %.0f" four one)
+    true
+    (four <= (4.0 *. one) +. 64.0)
+
+(* ---- checkpoints that do not fit ---- *)
+
+let reject what of_json j =
+  match of_json j with
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error (e : Guard.Error.t) ->
+    Alcotest.(check bool) (what ^ ": parse error") true (e.kind = Guard.Error.Parse)
+
+let rec set_member path v j =
+  match (path, j) with
+  | [ k ], Json.Obj ms -> Json.Obj (List.map (fun (k', x) -> if k' = k then (k', v) else (k', x)) ms)
+  | k :: rest, Json.Obj ms ->
+    Json.Obj (List.map (fun (k', x) -> if k' = k then (k', set_member rest v x) else (k', x)) ms)
+  | _ -> j
+
+let stats_of_json_checks_vectors () =
+  let bits = 5 in
+  let t = Stream.Stats.create ~bits () in
+  Stream.Stats.consume t
+    (Stimulus.Generator.sequence (Stimulus.Prng.create 2) ~bits ~length:40 ~sp:0.5 ~st:0.3);
+  let j = reparse (Stream.Stats.to_json t) in
+  ignore (ok_or_fail "untouched" (Stream.Stats.of_json j));
+  List.iter
+    (fun (key, v) ->
+      reject (Printf.sprintf "%s = %s" key v) Stream.Stats.of_json
+        (set_member [ key ] (Json.String v) j))
+    [
+      ("first", "0101"); ("first", "010110"); ("last", "01a01"); ("last", "0 101");
+      ("first", "");
+    ];
+  reject "last null on a non-empty estimator" Stream.Stats.of_json
+    (set_member [ "last" ] Json.Null j)
+
+let drift_of_json_checks_windows () =
+  let bits = 4 in
+  let t = Stream.Drift.create ~config:drift_cfg ~bits () in
+  List.iter
+    (fun b -> ignore (Stream.Drift.observe t (const_vec bits b)))
+    [ false; false; false; false; true; true ];
+  let j = reparse (Stream.Drift.to_json t) in
+  ignore (ok_or_fail "untouched" (Stream.Drift.of_json j));
+  let ints n = Json.List (List.init n (fun _ -> Json.Int 0)) in
+  List.iter
+    (fun (what, path, v) -> reject what Stream.Drift.of_json (set_member path v j))
+    [
+      ("short last", [ "cur"; "last" ], Json.String "010");
+      ("bad last", [ "cur"; "last" ], Json.String "01x0");
+      ("missing last", [ "cur"; "last" ], Json.Null);
+      ("short toggles", [ "cur"; "toggles" ], ints 3);
+      ("long ones", [ "cur"; "ones" ], ints 5);
+      ("reference ones", [ "reference"; "ones" ], ints 3);
+      ("reference toggles", [ "reference"; "toggles" ], ints 6);
+      ("full window", [ "cur"; "n" ], Json.Int drift_cfg.window);
+    ]
+
+(* A checkpoint of one circuit resumed against a source of another
+   width is a typed Validation error naming both widths. *)
+let pipeline_rejects_wrong_width_resume () =
+  let path = Filename.temp_file "cfpm_stream_width" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  let narrow = Util.small_random_circuit 3 in
+  let wide = (Option.get (Circuits.Suite.find "cm85")).Circuits.Suite.build () in
+  let run circuit ~resume =
+    let bits = Netlist.Circuit.input_count circuit in
+    Stream.Pipeline.run
+      { (pipeline_cfg ~checkpoint:path ~resume 1) with sim_every = 4 }
+      ~model:(Powermodel.Model.build circuit)
+      ~source:
+        (ok_or_fail "source"
+           (Stream.Source.generator ~seed:5 ~bits
+              [ { Stream.Source.sp = 0.5; st = 0.1; count = 3000 } ]))
+  in
+  ignore (ok_or_fail "first run" (run narrow ~resume:false));
+  let e = expect_error "resume" (run wide ~resume:true) in
+  Alcotest.(check bool) "validation" true (e.Guard.Error.kind = Guard.Error.Validation);
+  Alcotest.(check (option string)) "checkpoint width"
+    (Some (string_of_int (Netlist.Circuit.input_count narrow)))
+    (Guard.Error.context_value e "checkpoint");
+  Alcotest.(check (option string)) "source width"
+    (Some (string_of_int (Netlist.Circuit.input_count wide)))
+    (Guard.Error.context_value e "source")
+
 (* ---- serve integration ---- *)
 
 let serve_stream_op () =
@@ -794,4 +1135,17 @@ let suite =
     Alcotest.test_case "SIGKILL + torn tail + resume is bit-identical" `Quick
       pipeline_sigkill_resume;
     Alcotest.test_case "serve answers the stream op" `Quick serve_stream_op;
+    Alcotest.test_case "stats and checkpoints match stream.golden" `Quick
+      stream_golden_replay;
+    packed_folds_match_reference;
+    Alcotest.test_case "pipeline power equals the scalar model at any width" `Quick
+      pipeline_power_matches_scalar_model;
+    Alcotest.test_case "a flush allocates per block, not per vector" `Quick
+      block_fold_allocation;
+    Alcotest.test_case "stats checkpoints check their vectors" `Quick
+      stats_of_json_checks_vectors;
+    Alcotest.test_case "drift checkpoints check their windows" `Quick
+      drift_of_json_checks_windows;
+    Alcotest.test_case "a resume of another width is a typed error" `Quick
+      pipeline_rejects_wrong_width_resume;
   ]
