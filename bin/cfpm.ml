@@ -1030,7 +1030,8 @@ let stream_cmd =
   let resume_arg =
     let doc =
       "Recover the checkpoint journal and resume after the last good \
-       checkpoint instead of starting fresh."
+       checkpoint instead of starting fresh.  The weight and drift \
+       settings must match the checkpoint's (exit 4 otherwise)."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in

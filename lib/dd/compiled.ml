@@ -178,11 +178,14 @@ let slot_of keys id = probe keys id (Ct.mix id land (Array.length keys - 1))
 
 (* One traversal numbers the reachable DAG into growable buffers, then
    trims them.  Parents are numbered before their children (preorder),
-   which is what puts a low spine on consecutive triples. *)
-let triples ?order ?vars root_node =
-  let code = ref (Array.make 768 0) in
+   which is what puts a low spine on consecutive triples.  A [size] hint
+   sizes both buffers once, so nothing grows. *)
+let triples ?order ?vars ?(size = 0) root_node =
+  let code = ref (Array.make (max 768 (3 * size)) 0) in
   let leaves = ref [] in
-  let keys = ref (Array.make 1024 (-1)) and refs = ref (Array.make 1024 0) in
+  let slots = ref 1024 in
+  while !slots < 2 * size do slots := 2 * !slots done;
+  let keys = ref (Array.make !slots (-1)) and refs = ref (Array.make !slots 0) in
   let next_node = ref 0 in
   let next_leaf = ref 0 in
   let max_var = ref (-1) in
@@ -275,8 +278,8 @@ let of_checked_repr r =
     plan_vars = r.r_order;
   }
 
-let compile ?order ?vars root_node =
-  program_span @@ fun () -> of_checked_repr (triples ?order ?vars root_node)
+let compile ?order ?vars ?size root_node =
+  program_span @@ fun () -> of_checked_repr (triples ?order ?vars ?size root_node)
 
 let of_repr r =
   program_span @@ fun () ->

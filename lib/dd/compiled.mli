@@ -31,12 +31,15 @@
 
 type t
 
-val compile : ?order:int array -> ?vars:int -> Add.t -> t
+val compile : ?order:int array -> ?vars:int -> ?size:int -> Add.t -> t
 (** Flatten a diagram into a program.  [vars] fixes the environment width
     (the per-vector stride of batched input buffers); it defaults to
     [1 + max support variable] and must not be smaller.
     {!Powermodel.Model.compile} passes the full [Vars.count] width so the
     stride stays [2 * inputs] even when the model ignores some inputs.
+    [size], the diagram's node count with leaves ({!Add.size_in}), sizes
+    the numbering memo once; without it the memo grows as it fills.
+    Either way the program is the same.
 
     [order] lists the variables in the diagram's level order (root to
     leaves, length exactly the environment width; {!Add.var_order}
@@ -123,7 +126,7 @@ type repr = {
   r_root : int;  (** root reference, encoded like a child *)
 }
 
-val triples : ?order:int array -> ?vars:int -> Add.t -> repr
+val triples : ?order:int array -> ?vars:int -> ?size:int -> Add.t -> repr
 (** Number the diagram's reachable DAG in one traversal, without the step
     table or a [compiled.programs] count; arguments as for {!compile}. *)
 

@@ -22,13 +22,19 @@ let check_var v =
 let pack op a b = (op lsl (2 * id_bits)) lor (a lsl id_bits) lor b
 let pack2 a b = (a lsl id_bits) lor b
 
-(* Fibonacci-style multiplicative mix; multiplication wraps, which is fine
-   for slot selection. *)
+(* Fibonacci-style multiplicative mix for already-spread hashes and single
+   ids: its low 16 bits see only key bits 0..31, too few for packed keys. *)
 let mix x =
   let h = x * 0x9E3779B1 in
   h lxor (h lsr 16)
 
-let mix2 a b = mix (a lxor (b * 0x85EBCA77))
+(* SplitMix-style finalizer: the first xor-shift folds bits 31..61 (the
+   op tag and the first id) down before any multiply, so every key bit
+   reaches the low bits a slot mask keeps. *)
+let fmix x =
+  let x = (x lxor (x lsr 31)) * 0x3F58476D1CE4E5B9 in
+  let x = (x lxor (x lsr 29)) * 0x14D049BB133111EB in
+  x lxor (x lsr 32)
 
 (* --------------------------------------------------------------------- *)
 (* Direct-mapped, lossy caches: fixed power-of-two capacity, one probe,
@@ -42,7 +48,7 @@ let cache ~bits ~dummy =
   let n = 1 lsl bits in
   { keys = Array.make n (-1); vals = Array.make n dummy; mask = n - 1 }
 
-let slot c key = mix key land c.mask
+let slot c key = fmix key land c.mask
 
 let clear c = Array.fill c.keys 0 (Array.length c.keys) (-1)
 
@@ -60,6 +66,6 @@ let cache2 ~bits ~dummy =
     mask2 = n - 1;
   }
 
-let slot2 c k1 k2 = mix2 k1 k2 land c.mask2
+let slot2 c k1 k2 = fmix (k1 lxor (k2 * 0x2545F4914F6CDD1D)) land c.mask2
 
 let clear2 c = Array.fill c.k1 0 (Array.length c.k1) (-1)

@@ -485,12 +485,13 @@ let compile t =
     program =
       Dd.Compiled.compile
         ~order:(Dd.Add.var_order t.add_manager ~vars)
-        ~vars t.cap;
+        ~vars ~size:t.stats.final_size t.cap;
   }
 
 let triples t =
   let vars = Vars.count ~inputs:t.inputs in
-  Dd.Compiled.triples ~order:(Dd.Add.var_order t.add_manager ~vars) ~vars t.cap
+  Dd.Compiled.triples ~order:(Dd.Add.var_order t.add_manager ~vars) ~vars
+    ~size:t.stats.final_size t.cap
 
 (* At sp = st = 0.5 every branch weight is exactly 0.5, so each node's
    [0.5 *. l +. 0.5 *. h] rounds like Eq. 7's [0.5 *. (l +. h)]: this is

@@ -214,6 +214,7 @@ let observe t v =
 let flush t = if t.cur.wn > 0 then judge t else None
 
 let bits t = t.width
+let config t = t.cfg
 let seen t = t.seen
 let events t = t.events
 let skipped_checks t = t.skipped

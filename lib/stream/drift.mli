@@ -68,6 +68,8 @@ val flush : t -> event option
 
 val bits : t -> int
 
+val config : t -> config
+
 val seen : t -> int
 (** Vectors observed. *)
 

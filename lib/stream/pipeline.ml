@@ -285,7 +285,27 @@ let run ?budget ?simulator (cfg : config) ~model ~source =
       let* () = check "stats" (Stats.bits r.r_stats) bits in
       let* () = check "drift" (Drift.bits r.r_drift) bits in
       let* () = check "refit" (Refit.features r.r_refit - 1) bits in
-      check "lin" (Array.length r.r_lin - 1) bits
+      let* () = check "lin" (Array.length r.r_lin - 1) bits in
+      (* a resumed run continues the checkpoint's schedule and windows;
+         a config that asks for others would be silently ignored *)
+      let same field ckpt run =
+        if ckpt = run then Ok ()
+        else
+          Error
+            (Guard.Error.validation
+               ~context:[ ("field", field); ("checkpoint", ckpt); ("config", run) ]
+               "checkpoint settings do not match the run's config")
+      in
+      let d = Drift.config r.r_drift and flt x = Json.to_string ~pretty:false (Json.Float x) in
+      let* () =
+        same "weight" (Weight.to_string (Stats.weight r.r_stats)) (Weight.to_string weight)
+      in
+      let* () = same "window" (string_of_int d.window) (string_of_int drift_cfg.window) in
+      let* () =
+        same "min_samples" (string_of_int d.min_samples) (string_of_int drift_cfg.min_samples)
+      in
+      let* () = same "high" (flt d.high) (flt drift_cfg.high) in
+      same "low" (flt d.low) (flt drift_cfg.low)
   in
   let* journal =
     match cfg.checkpoint with

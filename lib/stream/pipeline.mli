@@ -91,7 +91,9 @@ val run :
     [simulator] (when given) provides gate-level ground truth for refit
     samples, otherwise the model's own outputs are used.  Returns a
     [Resource]/[Parse] error when the checkpoint journal cannot be
-    recovered or opened. *)
+    recovered or opened, and a [Validation] error naming the part or
+    field with both values when a resumed checkpoint's width, weight
+    schedule or drift config differs from the source's and [config]'s. *)
 
 val stats_json : outcome -> Json.t
 (** The deterministic subset — statistics snapshot, drift events with

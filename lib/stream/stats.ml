@@ -27,6 +27,9 @@ type t = {
   mutable p_max : float;
   mutable w_decay : float;
   mutable w_mean : float;
+  mutable steps : float array;
+      (** scratch: the weight steps of the block being consumed, one
+          slice per shard; never shared between summaries *)
 }
 
 let create ?(weight = Weight.Equal) ~bits () =
@@ -50,6 +53,7 @@ let create ?(weight = Weight.Equal) ~bits () =
     p_max = neg_infinity;
     w_decay = 1.0;
     w_mean = 0.0;
+    steps = [||];
   }
 
 let copy t =
@@ -59,6 +63,7 @@ let copy t =
     toggles = Array.copy t.toggles;
     first = Array.copy t.first;
     last = Array.copy t.last;
+    steps = [||];
   }
 
 let weight t = t.wt
@@ -114,8 +119,9 @@ let shard_block = 512
 
 (* Welford and the weighted mean over [power.(p0) .. power.(p0 + m -
    1)], in order — one observation per transition, as a sequential fold
-   takes them. *)
-let observe_powers s power p0 m =
+   takes them.  The weight steps go to [steps.(p0) ..], unboxed. *)
+let observe_powers s power steps p0 m =
+  Weight.fill s.wt ~n0:(s.pstart + s.pn + 1) steps ~pos:p0 ~len:m;
   let pn = ref s.pn and mean = ref s.p_mean and m2 = ref s.p_m2 in
   let mn = ref s.p_min and mx = ref s.p_max in
   let decay = ref s.w_decay and wmean = ref s.w_mean in
@@ -127,7 +133,7 @@ let observe_powers s power p0 m =
     m2 := !m2 +. (d *. (p -. !mean));
     if p < !mn then mn := p;
     if p > !mx then mx := p;
-    let g = Weight.at s.wt ~n:(s.pstart + !pn) in
+    let g = steps.(q) in
     decay := !decay *. (1.0 -. g);
     wmean := ((1.0 -. g) *. !wmean) +. (g *. p)
   done;
@@ -150,6 +156,8 @@ let consume_block ?jobs ?power t block ~first =
   | Some p when Array.length p < transitions ->
     invalid_arg "Stats.consume_block: fewer powers than transitions"
   | _ -> ());
+  if Option.is_some power && Array.length t.steps < transitions then
+    t.steps <- Array.make transitions 0.0;
   if total > 0 then begin
     let nblocks = ((total - 1) / shard_block) + 1 in
     let stride = Stimulus.Block.stride block in
@@ -179,7 +187,7 @@ let consume_block ?jobs ?power t block ~first =
       Stimulus.Block.store block (first + off) s.first;
       Stimulus.Block.store block (first + off + len - 1) s.last;
       (match power with
-      | Some p -> observe_powers s p before s.trans
+      | Some p -> observe_powers s p t.steps before s.trans
       | None -> ());
       s
     in
@@ -375,4 +383,5 @@ let of_json j =
           p_max;
           w_decay;
           w_mean;
+          steps = [||];
         }

@@ -42,6 +42,29 @@ let at w ~n =
      schedule — an estimator carries no prior *)
   if n = 1 then 1.0 else Float.min 1.0 (step w ~n)
 
+(* [at] for a run of indices, written into a float array so no step is
+   boxed: each combinator is one pass over the run.  The steps are in
+   (0, 1], so the plain comparisons pick what Float.max/Float.min
+   would. *)
+let rec fill_steps w ~n0 dst ~pos ~len =
+  match w with
+  | Equal -> for i = 0 to len - 1 do dst.(pos + i) <- 1.0 /. float_of_int (n0 + i) done
+  | Exponential l -> Array.fill dst pos len l
+  | Bounded (inner, f) ->
+    fill_steps inner ~n0 dst ~pos ~len;
+    for i = pos to pos + len - 1 do if f > dst.(i) then dst.(i) <- f done
+  | Scaled (inner, c) ->
+    fill_steps inner ~n0 dst ~pos ~len;
+    for i = pos to pos + len - 1 do dst.(i) <- c *. dst.(i) done
+
+let fill w ~n0 dst ~pos ~len =
+  if n0 < 1 then invalid_arg "Weight.fill: n0 must be >= 1";
+  if pos < 0 || len < 0 || pos + len > Array.length dst then
+    invalid_arg "Weight.fill: run outside the array";
+  fill_steps w ~n0 dst ~pos ~len;
+  for i = pos to pos + len - 1 do if dst.(i) > 1.0 then dst.(i) <- 1.0 done;
+  if n0 = 1 && len > 0 then dst.(pos) <- 1.0
+
 let rec to_string = function
   | Equal -> "equal"
   | Exponential l -> Printf.sprintf "exp:%g" l

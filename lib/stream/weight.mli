@@ -34,6 +34,12 @@ val at : t -> n:int -> float
     observation's step is forced to 1 at the top level, so an estimator
     needs no prior mean.  Raises [Invalid_argument] when [n < 1]. *)
 
+val fill : t -> n0:int -> float array -> pos:int -> len:int -> unit
+(** [fill w ~n0 dst ~pos ~len] sets [dst.(pos + i)] to
+    [at w ~n:(n0 + i)] for [i] in [0 .. len - 1], bit for bit, without
+    boxing a step.  Raises [Invalid_argument] when [n0 < 1] or the run
+    does not lie inside [dst]. *)
+
 val to_string : t -> string
 (** Render in the {!of_string} grammar, e.g. ["bounded(equal,0.05)"]. *)
 

@@ -111,6 +111,48 @@ let json_value_roundtrip () =
       | Error e -> Alcotest.failf "parse error: %s" e)
     [ 0.1; 1.0 /. 3.0; 2.0; -0.0; 1e-300; 12345.6789 ]
 
+(* The computed tables' slot function must spread every key bit: keys
+   that differ only in the first id or only in the op tag may not pile
+   into a handful of slots (the lossy cache would then miss and recompute
+   shared subdiagrams). *)
+let distinct_slots slot keys =
+  let seen = Hashtbl.create 4096 in
+  List.iter (fun k -> Hashtbl.replace seen (slot k) ()) keys;
+  Hashtbl.length seen
+
+let slots_spread_every_key_bit () =
+  let c = Dd.Ct.cache ~bits:16 ~dummy:0 and c2 = Dd.Ct.cache2 ~bits:16 ~dummy:0 in
+  let ids = List.init 4096 Fun.id in
+  List.iter
+    (fun b ->
+      let n = distinct_slots (fun a -> Dd.Ct.slot c (Dd.Ct.pack 0 a b)) ids in
+      Alcotest.(check bool) (Printf.sprintf "slot: first ids spread (b=%d, %d slots)" b n)
+        true (n >= 3500);
+      let n = distinct_slots (fun a -> Dd.Ct.slot2 c2 (Dd.Ct.pack2 a b) 77) ids in
+      Alcotest.(check bool) (Printf.sprintf "slot2: first ids spread (b=%d, %d slots)" b n)
+        true (n >= 3500);
+      let n = distinct_slots (fun h -> Dd.Ct.slot2 c2 (Dd.Ct.pack2 5 b) h) ids in
+      Alcotest.(check bool) (Printf.sprintf "slot2: third ids spread (b=%d, %d slots)" b n)
+        true (n >= 3500))
+    [ 0; 1; 12345; Dd.Ct.id_limit - 1 ];
+  List.iter
+    (fun (a, b) ->
+      let n = distinct_slots (fun op -> Dd.Ct.slot c (Dd.Ct.pack op a b)) (List.init 8 Fun.id) in
+      Alcotest.(check bool) (Printf.sprintf "op tags of (%d, %d) spread over %d slots" a b n)
+        true (n >= 7))
+    [ (0, 0); (1, 2); (4095, 17); (Dd.Ct.id_limit - 1, 3) ]
+
+(* Count guard on the exact build the slot defect hurt most: cmb's Fig. 6
+   loop made 13.66 M ADD [plus] misses when the slot read only key bits
+   0..31, and about 10 k once every bit was mixed in.  Misses are
+   deterministic, so the ceiling is exact, not a timing. *)
+let exact_cmb_plus_misses () =
+  let e = Option.get (Circuits.Suite.find "cmb") in
+  let model = Powermodel.Model.build (e.Circuits.Suite.build ()) in
+  let misses = Dd.Perf.misses (Dd.Add.perf model.Powermodel.Model.add_manager) "plus" in
+  Alcotest.(check bool) (Printf.sprintf "exact cmb plus misses %d <= 100000" misses)
+    true (misses <= 100_000)
+
 let suite =
   [
     Alcotest.test_case "bdd counters fire and reset" `Quick
@@ -120,4 +162,8 @@ let suite =
     Alcotest.test_case "case-study build counts" `Quick case_study_build_counts;
     Alcotest.test_case "perf json roundtrip" `Quick json_roundtrip;
     Alcotest.test_case "json value roundtrip" `Quick json_value_roundtrip;
+    Alcotest.test_case "computed-table slots spread every key bit" `Quick
+      slots_spread_every_key_bit;
+    Alcotest.test_case "exact cmb plus misses stay bounded" `Quick
+      exact_cmb_plus_misses;
   ]

@@ -45,6 +45,40 @@ let weight_schedules () =
       | Ok w -> Alcotest.failf "%S parsed as %s" s (to_string w))
     [ "exp:0"; "exp:1.5"; "bounded(equal)"; "nonsense"; "scaled(equal,-1)" ]
 
+(* The bulk step fill equals [at] bit for bit, from any start. *)
+let weight_fill_matches_at () =
+  let open Stream.Weight in
+  let pos = 7 and len = 513 in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun n0 ->
+          let dst = Array.make (pos + len + 1) nan in
+          fill w ~n0 dst ~pos ~len;
+          for i = 0 to len - 1 do
+            if Int64.bits_of_float dst.(pos + i) <> Int64.bits_of_float (at w ~n:(n0 + i)) then
+              Alcotest.failf "%s: fill at n=%d gave %h, at gives %h" (to_string w) (n0 + i)
+                dst.(pos + i)
+                (at w ~n:(n0 + i))
+          done;
+          Alcotest.(check bool) "outside the run untouched" true
+            (Float.is_nan dst.(pos - 1) && Float.is_nan dst.(pos + len)))
+        [ 1; 2; 512; 1_000_001 ])
+    [
+      Equal;
+      Exponential 0.25;
+      Exponential 1.0;
+      Bounded (Equal, 0.05);
+      Bounded (Exponential 0.01, 0.3);
+      Scaled (Equal, 0.5);
+      Scaled (Bounded (Equal, 0.1), 0.5);
+      Bounded (Scaled (Exponential 0.7, 0.9), 0.2);
+    ];
+  Alcotest.check_raises "n0 < 1" (Invalid_argument "Weight.fill: n0 must be >= 1") (fun () ->
+      fill Equal ~n0:0 (Array.make 4 0.0) ~pos:0 ~len:1);
+  Alcotest.check_raises "run past the end" (Invalid_argument "Weight.fill: run outside the array")
+    (fun () -> fill Equal ~n0:1 (Array.make 4 0.0) ~pos:2 ~len:3)
+
 (* ---- mergeable statistics ---- *)
 
 let obs_bits = 3
@@ -942,6 +976,32 @@ let pipeline_power_matches_scalar_model () =
 
 (* Source, stats and drift move whole blocks: one 2048-vector flush
    allocates a few hundred words, not words per vector. *)
+(* The power fold takes its weight steps from a bulk fill: a flush's
+   power observations allocate next to nothing on top of its counts. *)
+let power_fold_allocation () =
+  let bits = 11 and n = Stream.Pipeline.flush_quantum + 1 in
+  let source =
+    ok_or_fail "source"
+      (Stream.Source.generator ~seed:3 ~bits [ { Stream.Source.sp = 0.5; st = 0.2; count = n } ])
+  in
+  let b = Stream.Source.create_block source ~capacity:n in
+  Stream.Source.fill source b;
+  let chunk = b.Stream.Source.vectors in
+  let power = Array.init n (fun i -> float_of_int (i mod 97)) in
+  let words power =
+    let stats = Stream.Stats.create ~weight:(Stream.Weight.Bounded (Stream.Weight.Equal, 0.01)) ~bits () in
+    Stream.Stats.consume_block ~jobs:1 ?power stats chunk ~first:0;
+    let stats = Stream.Stats.create ~weight:(Stream.Weight.Bounded (Stream.Weight.Equal, 0.01)) ~bits () in
+    let before = Gc.minor_words () in
+    Stream.Stats.consume_block ~jobs:1 ?power stats chunk ~first:0;
+    Gc.minor_words () -. before
+  in
+  let without = words None and with_powers = words (Some power) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d vectors: %.0f minor words with powers, %.0f without" n with_powers without)
+    true
+    (with_powers <= without +. 256.0)
+
 let block_fold_allocation () =
   let bits = 11 in
   let source =
@@ -1069,6 +1129,49 @@ let pipeline_rejects_wrong_width_resume () =
     (Some (string_of_int (Netlist.Circuit.input_count wide)))
     (Guard.Error.context_value e "source")
 
+(* A resumed run continues the checkpoint's weight schedule and drift
+   windows; a config that asks for others is refused, naming the field
+   and both values, instead of being silently dropped. *)
+let pipeline_rejects_config_change_on_resume () =
+  let path = Filename.temp_file "cfpm_stream_config" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  let circuit = Util.small_random_circuit 3 in
+  let bits = Netlist.Circuit.input_count circuit in
+  let model = Powermodel.Model.build circuit in
+  let run cfg =
+    Stream.Pipeline.run { cfg with Stream.Pipeline.checkpoint = Some path } ~model
+      ~source:
+        (ok_or_fail "source"
+           (Stream.Source.generator ~seed:5 ~bits
+              [ { Stream.Source.sp = 0.5; st = 0.1; count = 3000 } ]))
+  in
+  let base = { (pipeline_cfg 1) with sim_every = 4 } in
+  ignore (ok_or_fail "first run" (run base));
+  let resume = { base with resume = true } in
+  let refused what cfg field ckpt config =
+    let e = expect_error what (run cfg) in
+    Alcotest.(check bool) (what ^ ": validation") true (e.Guard.Error.kind = Guard.Error.Validation);
+    Alcotest.(check (list (option string)))
+      (what ^ ": field and both values")
+      [ Some field; Some ckpt; Some config ]
+      (List.map (Guard.Error.context_value e) [ "field"; "checkpoint"; "config" ])
+  in
+  refused "weight" { resume with weight = Stream.Weight.Exponential 0.1 } "weight" "equal" "exp:0.1";
+  refused "window"
+    { resume with drift = { test_drift_cfg with window = test_drift_cfg.window / 2 } }
+    "window"
+    (string_of_int test_drift_cfg.window)
+    (string_of_int (test_drift_cfg.window / 2));
+  refused "high"
+    { resume with drift = { test_drift_cfg with high = 0.5 } }
+    "high"
+    (Json.to_string ~pretty:false (Json.Float test_drift_cfg.high))
+    "0.5";
+  let o = ok_or_fail "same config resumes" (run resume) in
+  Alcotest.(check int) "resumed from the checkpoint" 3000 o.Stream.Pipeline.resumed_from
+
 (* ---- serve integration ---- *)
 
 let serve_stream_op () =
@@ -1148,4 +1251,9 @@ let suite =
       drift_of_json_checks_windows;
     Alcotest.test_case "a resume of another width is a typed error" `Quick
       pipeline_rejects_wrong_width_resume;
+    Alcotest.test_case "a resume with another weight or drift config is a typed error" `Quick
+      pipeline_rejects_config_change_on_resume;
+    Alcotest.test_case "observing powers boxes no weight step" `Quick
+      power_fold_allocation;
+    Alcotest.test_case "weight fill equals at, bit for bit" `Quick weight_fill_matches_at;
   ]
