@@ -606,7 +606,7 @@ let worst_cmd =
       | Some s ->
         Printf.printf
           "  solver: %d decisions, %d propagations, %d conflicts, %d \
-           restarts\n"
+           incumbents\n"
           s.Pbo.Solver.decisions s.Pbo.Solver.propagations
           s.Pbo.Solver.conflicts s.Pbo.Solver.restarts
       | None -> ());

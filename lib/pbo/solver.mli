@@ -2,11 +2,23 @@
 
     Solves [maximize sum_g w_g * x_g  subject to  CNF clauses] for
     non-negative weights by branch-and-bound DPLL: two-watched-literal
-    unit propagation, chronological backtracking, objective-bound pruning
-    (the sum of the achieved plus still-undecided positive weights bounds
-    every completion of the current partial assignment), and linear
-    bound-strengthening restarts — each new incumbent restarts the search
-    with the tightened bound, the LSU loop of toysolver's PBO solvers.
+    unit propagation, chronological backtracking and objective-bound
+    pruning.  At the root every objective variable (of the 8192
+    heaviest) is probed (asserted true and propagated): a conflicting
+    probe fixes it false, the others
+    yield pairwise exclusions, and the objective variables are covered
+    greedily, heaviest first, by cliques of mutually exclusive variables.
+    The achieved weight plus, per clique without a true member, its
+    heaviest undecided weight bounds every completion of the current
+    partial assignment.  A new incumbent raises that bound and the search
+    goes on from where it stands; it never restarts.
+
+    Leaves are visited in a fixed order (lexicographic over the decision
+    order, hinted phase first) and no leaf that beats the incumbent is
+    ever pruned, so the incumbents found, the returned [value] and the
+    [witness] depend only on the problem and the hint, not on how hard
+    the bound prunes.  Only the stats and a budget-stopped interval
+    depend on the bound.
 
     Pruning arithmetic is done in {e scaled integers} (weights rounded up
     to multiples of [2^-20]), so no incremental float drift can ever
@@ -53,7 +65,9 @@ type stats = {
   decisions : int;
   propagations : int;
   conflicts : int;  (** logical conflicts + objective-bound prunes *)
-  restarts : int;   (** incumbent improvements (each restarts the search) *)
+  restarts : int;
+      (** incumbent improvements (the search never restarts; the
+          name is the one the [cfpm-bench/8] schema reports) *)
 }
 
 type proof =

@@ -65,11 +65,22 @@ let fill w ~n0 dst ~pos ~len =
   for i = pos to pos + len - 1 do if dst.(i) > 1.0 then dst.(i) <- 1.0 done;
   if n0 = 1 && len > 0 then dst.(pos) <- 1.0
 
+(* Plain %g when that reads back to the same bits, else the fewest more
+   digits that do, so a spec survives a checkpoint round trip and two
+   specs render alike only when their parameters are the same float. *)
+let param x =
+  let same s = Int64.bits_of_float (float_of_string s) = Int64.bits_of_float x in
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || same s then s else go (p + 1)
+  in
+  go 6
+
 let rec to_string = function
   | Equal -> "equal"
-  | Exponential l -> Printf.sprintf "exp:%g" l
-  | Bounded (inner, f) -> Printf.sprintf "bounded(%s,%g)" (to_string inner) f
-  | Scaled (inner, c) -> Printf.sprintf "scaled(%s,%g)" (to_string inner) c
+  | Exponential l -> "exp:" ^ param l
+  | Bounded (inner, f) -> Printf.sprintf "bounded(%s,%s)" (to_string inner) (param f)
+  | Scaled (inner, c) -> Printf.sprintf "scaled(%s,%s)" (to_string inner) (param c)
 
 (* --- parsing ------------------------------------------------------- *)
 

@@ -134,6 +134,14 @@ let pbo_matches_exhaustive_simulator () =
       Util.small_random_circuit 43;
     ]
 
+(* The Table 1 rows the solver proves optimal in well under a second. *)
+let tractable = [ "decod"; "x2"; "alu2"; "cm85"; "cmb"; "cm150" ]
+
+let suite_circuit name =
+  match Circuits.Suite.find name with
+  | Some e -> e.Circuits.Suite.build ()
+  | None -> Alcotest.failf "no suite circuit %s" name
+
 let cross_validation_agrees_on_exact_models () =
   List.iter
     (fun circuit ->
@@ -146,11 +154,7 @@ let cross_validation_agrees_on_exact_models () =
       Alcotest.check exact_float "float-equal"
         a.Powermodel.Adversarial.add.Powermodel.Adversarial.value
         a.Powermodel.Adversarial.pbo.Powermodel.Adversarial.value)
-    [
-      Circuits.Decoder.decod ();
-      Circuits.Comparator.cm85 ();
-      Util.small_random_circuit 44;
-    ]
+    (List.map suite_circuit tractable @ [ Util.small_random_circuit 44 ])
 
 let conflict_ceiling_gives_sound_interval () =
   let circuit = Circuits.Comparator.cm85 () in
@@ -209,6 +213,166 @@ let warm_hint_preserves_optimum () =
   Alcotest.check exact_float "same optimum" base.Powermodel.Adversarial.value
     hinted.Powermodel.Adversarial.value;
   Alcotest.(check bool) "still optimal" true hinted.Powermodel.Adversarial.optimal
+
+(* --- the pruned search against the reference -------------------------
+
+   [Pbo_ref] is the solver before exclusion-clique pruning: it restarted
+   from the root after every incumbent and bounded each node by all the
+   undecided weights.  Pruning may only skip subtrees that cannot beat
+   the incumbent, so every un-budgeted solve must return its value bits
+   and witness. *)
+
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+
+(* Optimum value bits and witness transitions of the tractable rows,
+   captured from [Pbo_ref] through [Adversarial.worst_pbo]. *)
+let pinned =
+  [
+    ("decod", 0x406ac00000000000L, "11110", "00001");
+    ("x2", 0x4074500000000000L, "0110100001", "0011011011");
+    ("alu2", 0x406fc00000000000L, "0000000000", "1111111101");
+    ("cm85", 0x4063400000000000L, "01010101010", "10000000001");
+    ("cmb", 0x4060000000000000L, "0110110000110100", "1001001111001011");
+    ("cm150", 0x406c400000000000L, "111100000000000000000",
+     "000011111111111111111");
+  ]
+
+let pinned_optima_and_witnesses () =
+  List.iter
+    (fun (name, value_bits, x_i, x_f) ->
+      let r = ok_exn (Powermodel.Adversarial.worst_pbo (suite_circuit name)) in
+      Alcotest.(check bool) (name ^ " optimal") true r.Powermodel.Adversarial.optimal;
+      Alcotest.(check int64) (name ^ " value bits") value_bits
+        (Int64.bits_of_float r.Powermodel.Adversarial.value);
+      Alcotest.(check string) (name ^ " x_i") x_i (bits r.Powermodel.Adversarial.x_i);
+      Alcotest.(check string) (name ^ " x_f") x_f (bits r.Powermodel.Adversarial.x_f);
+      (* the reference takes 56,690 decisions on cm85 *)
+      match (name, r.Powermodel.Adversarial.stats) with
+      | "cm85", Some st when st.Pbo.Solver.decisions > 25_000 ->
+        Alcotest.failf "cm85 took %d decisions, over 25,000" st.Pbo.Solver.decisions
+      | _ -> ())
+    pinned
+
+(* Past the probing cap the lighter objective vars stay singletons: one
+   exclusion among the probed vars, one among the rest. *)
+let objective_past_the_probing_cap () =
+  let nvars = 9000 in
+  let p =
+    {
+      Pbo.Solver.nvars;
+      clauses = [ [| neg 0; neg 1 |]; [| neg (nvars - 2); neg (nvars - 1) |] ];
+      objective = Array.init nvars (fun v -> (v, 1.0));
+      decision_order = Array.init nvars Fun.id;
+      phase_hint = Array.make nvars true;
+    }
+  in
+  let o = ok_exn (Pbo.Solver.solve p) and r = ok_exn (Pbo_ref.solve p) in
+  Alcotest.check exact_float "value" (Float.of_int (nvars - 2)) o.Pbo.Solver.value;
+  Alcotest.(check (array bool)) "reference witness" r.Pbo.Solver.witness
+    o.Pbo.Solver.witness
+
+(* A random netlist of at most 8 inputs with random dyadic loads (zeros
+   included) and a random hint: none, a consistent transition, or an
+   arbitrary and usually inconsistent assignment. *)
+type instance = {
+  circuit : Netlist.Circuit.t;
+  loads : float array;
+  hint : bool array option;
+}
+
+let instance_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, inputs, gates, salt) ->
+        let circuit =
+          Circuits.Random_logic.generate
+            {
+              Circuits.Random_logic.name = Printf.sprintf "pbo%d" seed;
+              inputs;
+              gates;
+              seed;
+              window = 12;
+              support_cap = inputs;
+              max_outputs = 4;
+            }
+        in
+        let st = Random.State.make [| seed; salt |] in
+        let loads =
+          Array.init circuit.Netlist.Circuit.net_count (fun _ ->
+              0.5 *. Float.of_int (Random.State.int st 40))
+        in
+        let enc = Pbo.Encode.encode ~loads circuit in
+        let n = Netlist.Circuit.input_count circuit in
+        let random_vec len = Array.init len (fun _ -> Random.State.bool st) in
+        let hint =
+          match Random.State.int st 3 with
+          | 0 -> None
+          | 1 ->
+            Some
+              (Pbo.Encode.assignment_of_transition enc (random_vec n)
+                 (random_vec n))
+          | _ -> Some (random_vec enc.Pbo.Encode.problem.Pbo.Solver.nvars)
+        in
+        { circuit; loads; hint })
+      (quad (int_bound 100_000) (int_range 2 8) (int_range 3 40)
+         (int_bound 1_000_000)))
+
+let instance_arb =
+  QCheck.make instance_gen ~print:(fun i ->
+      Printf.sprintf "%s: %d inputs, %d gates, hint %s" i.circuit.Netlist.Circuit.name
+        (Netlist.Circuit.input_count i.circuit)
+        (Array.length i.circuit.Netlist.Circuit.gates)
+        (match i.hint with None -> "none" | Some h -> bits h))
+
+let problem_of i = (Pbo.Encode.encode ~loads:i.loads i.circuit).Pbo.Encode.problem
+
+let same_as_reference =
+  Util.qtest ~count:150 "un-budgeted solves equal the reference solver"
+    instance_arb (fun i ->
+      let p = problem_of i in
+      match (Pbo.Solver.solve ?hint:i.hint p, Pbo_ref.solve ?hint:i.hint p) with
+      | Ok a, Ok b ->
+        let optimal o =
+          match o.Pbo.Solver.proof with
+          | Pbo.Solver.Optimal -> true
+          | Pbo.Solver.Bounded _ -> false
+        in
+        if Int64.bits_of_float a.Pbo.Solver.value
+           <> Int64.bits_of_float b.Pbo.Solver.value
+        then
+          QCheck.Test.fail_reportf "value %h, reference %h" a.Pbo.Solver.value
+            b.Pbo.Solver.value;
+        if a.Pbo.Solver.witness <> b.Pbo.Solver.witness then
+          QCheck.Test.fail_reportf "witness %s, reference %s"
+            (bits a.Pbo.Solver.witness) (bits b.Pbo.Solver.witness);
+        optimal a && optimal b
+      | _ -> QCheck.Test.fail_report "a satisfiable encoding failed to solve")
+
+let budgeted_interval_holds_the_optimum =
+  Util.qtest ~count:150 "budgeted intervals hold the exhaustive optimum"
+    QCheck.(pair instance_arb (int_range 1 60))
+    (fun (i, ceiling) ->
+      let p = problem_of i in
+      let truth =
+        Gatesim.Simulator.worst_case_capacitance_exhaustive
+          (Gatesim.Simulator.create ~loads:i.loads i.circuit)
+      in
+      let budget = Guard.Budget.create ~conflict_ceiling:ceiling () in
+      match Pbo.Solver.solve ~budget ?hint:i.hint p with
+      | Error e ->
+        (* only possible before any incumbent: no hint installed one *)
+        Guard.Error.kind_name e.Guard.Error.kind = "resource"
+      | Ok o ->
+        let upper =
+          match o.Pbo.Solver.proof with
+          | Pbo.Solver.Optimal -> o.Pbo.Solver.value
+          | Pbo.Solver.Bounded { upper; _ } -> upper
+        in
+        if not (o.Pbo.Solver.value <= truth && truth <= upper) then
+          QCheck.Test.fail_reportf "optimum %g outside [%g, %g]" truth
+            o.Pbo.Solver.value upper;
+        Pbo.Solver.check p o.Pbo.Solver.witness
+        && Pbo.Solver.value_of p o.Pbo.Solver.witness = o.Pbo.Solver.value)
 
 (* --- the satellite property: witnesses re-simulate, every method, every
    reorder policy ------------------------------------------------------- *)
@@ -269,4 +433,10 @@ let suite =
     Alcotest.test_case "warm hint" `Quick warm_hint_preserves_optimum;
     Alcotest.test_case "witnesses resimulate" `Slow
       witnesses_resimulate_across_policies;
+    Alcotest.test_case "pinned optima and witnesses" `Quick
+      pinned_optima_and_witnesses;
+    Alcotest.test_case "objective past the probing cap" `Quick
+      objective_past_the_probing_cap;
+    same_as_reference;
+    budgeted_interval_holds_the_optimum;
   ]

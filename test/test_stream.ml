@@ -1172,6 +1172,43 @@ let pipeline_rejects_config_change_on_resume () =
   let o = ok_or_fail "same config resumes" (run resume) in
   Alcotest.(check int) "resumed from the checkpoint" 3000 o.Stream.Pipeline.resumed_from
 
+(* A weight parameter that %g would round must survive the checkpoint:
+   the resumed run folds with the very same step as a straight run, and a
+   config whose parameter differs only past the sixth digit is refused. *)
+let pipeline_resume_keeps_exact_weight () =
+  let path = Filename.temp_file "cfpm_stream_weight" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  let _, model, bits = Lazy.force fixture in
+  let first = { Stream.Source.sp = 0.5; st = 0.05; count = 2048 } in
+  let second = { Stream.Source.sp = 0.85; st = 0.4; count = 2048 } in
+  let run cfg phases =
+    Stream.Pipeline.run cfg ~model
+      ~source:(ok_or_fail "source" (Stream.Source.generator ~seed:11 ~bits phases))
+  in
+  let cfg = { (pipeline_cfg 1) with weight = Stream.Weight.Exponential 0.0123456789 } in
+  let straight = ok_or_fail "straight" (run cfg [ first; second ]) in
+  let ckpt = { cfg with checkpoint = Some path } in
+  ignore (ok_or_fail "first half" (run ckpt [ first ]));
+  let resumed =
+    ok_or_fail "resumed" (run { ckpt with resume = true } [ first; second ])
+  in
+  Alcotest.(check int) "resumed mid-stream" 2048 resumed.Stream.Pipeline.resumed_from;
+  Alcotest.(check string) "byte-identical stats"
+    (Json.to_string (Stream.Pipeline.stats_json straight))
+    (Json.to_string (Stream.Pipeline.stats_json resumed));
+  let e =
+    expect_error "rounded weight"
+      (run
+         { ckpt with resume = true; weight = Stream.Weight.Exponential 0.01234567 }
+         [ first; second ])
+  in
+  Alcotest.(check (list (option string)))
+    "both weights, unrounded"
+    [ Some "weight"; Some "exp:0.0123456789"; Some "exp:0.01234567" ]
+    (List.map (Guard.Error.context_value e) [ "field"; "checkpoint"; "config" ])
+
 (* ---- serve integration ---- *)
 
 let serve_stream_op () =
@@ -1253,6 +1290,8 @@ let suite =
       pipeline_rejects_wrong_width_resume;
     Alcotest.test_case "a resume with another weight or drift config is a typed error" `Quick
       pipeline_rejects_config_change_on_resume;
+    Alcotest.test_case "a resume keeps an unrounded weight parameter" `Quick
+      pipeline_resume_keeps_exact_weight;
     Alcotest.test_case "observing powers boxes no weight step" `Quick
       power_fold_allocation;
     Alcotest.test_case "weight fill equals at, bit for bit" `Quick weight_fill_matches_at;
