@@ -29,9 +29,9 @@
     exception, classified [Internal]), [torn] (interpreted by
     [Journal.append]: the record is half-written, exercising torn-tail
     recovery).  Known points: [model_build], [simulate], [pool_task],
-    [journal_append], [store_read] (inside [Store.load], so a chaos run
-    exercises the serve layer's artifact-failure path without damaging
-    files on disk), [serve_request] (at the head of every power-query
+    [journal_append], [store_read] (inside [Store.load_compiled] and
+    [Store.load], so a chaos run exercises the serve layer's
+    artifact-failure path without damaging files on disk), [serve_request] (at the head of every power-query
     request, keyed on the request's [id]/[op]/[model] — the same request
     fails on every worker, connection and job count), and the streaming
     telemetry points: [stream_ingest] (around each flush quantum, before

@@ -17,21 +17,16 @@ let m_decisions = Obs.Metrics.metric "pbo.decisions"
 let m_optimal = Obs.Metrics.metric "pbo.optimal"
 let m_bounded = Obs.Metrics.metric "pbo.bounded"
 
-let of_witness model (x_i, x_f, value) =
-  {
-    value;
-    x_i;
-    x_f;
-    optimal = Model.is_exact model;
-    upper = value;
-    stats = None;
-    reason = None;
-  }
+let of_witness ~exact (x_i, x_f, value) =
+  { value; x_i; x_f; optimal = exact; upper = value; stats = None; reason = None }
 
-let worst_add model = of_witness model (Analysis.worst_case_transition model)
+let worst_add model =
+  of_witness ~exact:(Model.is_exact model)
+    (Analysis.worst_case_transition model)
 
 let worst_add_compiled c =
-  of_witness (Model.compiled_model c) (Analysis.worst_case_transition_compiled c)
+  of_witness ~exact:(Model.compiled_is_exact c)
+    (Analysis.worst_case_transition_compiled c)
 
 let worst_pbo ?budget ?output_load ?loads ?hint circuit =
   let budget =

@@ -17,7 +17,6 @@
    are per call: concurrent queries share no mutable state. *)
 
 let compiled_triples c = Dd.Compiled.to_repr (Model.compiled_program c)
-let compiled_inputs c = (Model.compiled_model c).Model.inputs
 
 (* Follow a max-value path; unconstrained variables (levels skipped by the
    reduced diagram) are filled with [false].  The subtree max is memoized
@@ -58,7 +57,7 @@ let worst_case_transition model =
   worst (Model.triples model) ~inputs:model.Model.inputs
 
 let worst_case_transition_compiled c =
-  worst (compiled_triples c) ~inputs:(compiled_inputs c)
+  worst (compiled_triples c) ~inputs:(Model.compiled_inputs c)
 
 let expected_capacitance model ~sp ~st =
   Dd.Markov.expectation { Dd.Markov.sp; st } (Model.triples model)
@@ -134,5 +133,5 @@ let toggle_sensitivities model =
   Array.init inputs (sensitivity (Model.triples model) ~inputs)
 
 let toggle_sensitivities_compiled c =
-  let inputs = compiled_inputs c in
+  let inputs = Model.compiled_inputs c in
   Array.init inputs (sensitivity (compiled_triples c) ~inputs)

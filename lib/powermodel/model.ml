@@ -476,12 +476,13 @@ let run t vectors =
    batch's per-vector stride is always 2 * inputs and callers can pack
    transitions without knowing which inputs the model actually reads. *)
 
-type compiled = { source : t; program : Dd.Compiled.t }
+type compiled = { c_inputs : int; c_exact : bool; program : Dd.Compiled.t }
 
 let compile t =
   let vars = Vars.count ~inputs:t.inputs in
   {
-    source = t;
+    c_inputs = t.inputs;
+    c_exact = is_exact t;
     program =
       Dd.Compiled.compile
         ~order:(Dd.Add.var_order t.add_manager ~vars)
@@ -498,25 +499,24 @@ let triples t =
    the uniform average bit for bit. *)
 let average_capacitance t = Dd.Markov.expectation Dd.Markov.uniform (triples t)
 
-let compiled_of_program t program =
-  if Dd.Compiled.vars program <> Vars.count ~inputs:t.inputs then
+let compiled_of_program ~inputs ~exact program =
+  if Dd.Compiled.vars program <> Vars.count ~inputs then
     invalid_arg "Model.compiled_of_program: program width is not 2 * inputs";
-  { source = t; program }
+  { c_inputs = inputs; c_exact = exact; program }
 
-let compiled_model c = c.source
+let compiled_inputs c = c.c_inputs
+let compiled_is_exact c = c.c_exact
 let compiled_program c = c.program
 
 let switched_capacitance_compiled c ~x_i ~x_f =
-  if
-    Array.length x_i <> c.source.inputs
-    || Array.length x_f <> c.source.inputs
-  then invalid_arg "Model.switched_capacitance_compiled: input width mismatch";
+  if Array.length x_i <> c.c_inputs || Array.length x_f <> c.c_inputs then
+    invalid_arg "Model.switched_capacitance_compiled: input width mismatch";
   Dd.Compiled.eval c.program (Vars.env ~x_i ~x_f)
 
 let pack_transitions c vectors =
   let count = Array.length vectors in
   if count < 2 then invalid_arg "Model.pack_transitions: need at least two vectors";
-  let inputs = c.source.inputs in
+  let inputs = c.c_inputs in
   Array.iter
     (fun v ->
       if Array.length v <> inputs then

@@ -165,12 +165,19 @@ val triples : t -> Dd.Compiled.repr
 (** The triple program {!compile} would build, without its step table
     ({!Dd.Compiled.triples}): what the analyses and the store read. *)
 
-val compiled_of_program : t -> Dd.Compiled.t -> compiled
-(** Pair a model with a program already compiled from it (a stored
-    artifact's, loaded through {!Dd.Compiled.of_repr}).  Raises
+val compiled_of_program : inputs:int -> exact:bool -> Dd.Compiled.t -> compiled
+(** Wrap a program already compiled from a model of [inputs] inputs (a
+    stored artifact's, loaded through {!Dd.Compiled.of_repr}); [exact]
+    is that model's {!is_exact}.  No {!t} is needed: a compiled model
+    carries only its program, its width and its exactness.  Raises
     [Invalid_argument] unless the program's width is [2 * inputs]. *)
 
-val compiled_model : compiled -> t
+val compiled_inputs : compiled -> int
+(** The source model's input count. *)
+
+val compiled_is_exact : compiled -> bool
+(** The source model's {!is_exact}. *)
+
 val compiled_program : compiled -> Dd.Compiled.t
 
 val switched_capacitance_compiled :

@@ -9,7 +9,7 @@ let m_hits = Obs.Metrics.metric "serve.cache_hits"
 let m_misses = Obs.Metrics.metric "serve.cache_misses"
 let m_evictions = Obs.Metrics.metric "serve.cache_evictions"
 
-type entry = { loaded : Store.loaded; bytes : int }
+type entry = { loaded : Store.artifact; bytes : int }
 
 type slot = { entry : entry; mutable stamp : int }
 
@@ -112,7 +112,7 @@ let find_or_load t name =
     | Some entry -> Ok entry
     | None -> (
       (* the load runs unlocked: a cold artifact read never stalls hits *)
-      match Store.load path with
+      match Store.load_compiled path with
       | Error _ as e -> e
       | Ok loaded ->
         let entry =

@@ -20,7 +20,8 @@
     server". *)
 
 type entry = {
-  loaded : Store.loaded;
+  loaded : Store.artifact;
+      (** header + compiled program: no model, no ADD manager *)
   bytes : int;  (** {!Store.approx_bytes} of the artifact's meta *)
 }
 
@@ -38,7 +39,7 @@ val resolve : t -> string -> (string, Guard.Error.t) result
     escapes [root]). *)
 
 val find_or_load : t -> string -> (entry, Guard.Error.t) result
-(** Cache hit, or {!Store.load} + insert (+ evict down to the ceiling).
+(** Cache hit, or {!Store.load_compiled} + insert (+ evict down to the ceiling).
     Load failures are returned verbatim — and never cached, so a later
     request retries a repaired artifact. *)
 

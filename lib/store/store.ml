@@ -7,9 +7,10 @@
    header of everything else a server needs — circuit identity, variable
    order, default query statistics, build stats.  Loading re-validates
    every byte (magic, version, per-section CRC-32, then the structural
-   invariants of the arrays) before a single diagram node is built, so a
+   invariants of the arrays) before the program is levelized, so a
    damaged artifact is always a classified [Guard.Error], never a crash
-   and never a silently wrong model.
+   and never a silently wrong model.  A compiled load stops there; only
+   [load] goes on to rebuild the diagram.
 
    Layout: 8-byte magic, u32 BE version, then sections
    [tag(4) | u32 BE len | payload | u32 BE crc32(tag+len+payload)] in the
@@ -193,6 +194,7 @@ let head_json meta = Json.to_string ~pretty:false (meta_json meta)
 (* Every member access below is total: a header that parses as JSON but
    has a missing or mistyped member is classified corrupt, not a crash. *)
 let head_of_json ~path text =
+  let ( let* ) = Result.bind in
   let corrupt what = fail ~section:"HEAD" ~reason:"corrupt" ~path what in
   match Json.of_string text with
   | Error e -> corrupt (Printf.sprintf "header is not valid JSON: %s" e)
@@ -214,6 +216,18 @@ let head_of_json ~path text =
       let sint k = Option.bind stats_j (fun s -> Option.bind (Json.member k s) Json.to_int) in
       let sflt k = Option.bind stats_j (fun s -> Option.bind (Json.member k s) Json.to_float) in
       let defaults = Json.member "defaults" j in
+      (* Exactness is stored twice: the [exact] member (what a compiled
+         load answers [worst add] from) and [approx_calls = 0] (what
+         {!Powermodel.Model.is_exact} reads on a rebuilt model).  Both
+         must be there and agree, so the two routes cannot disagree. *)
+      let exactness () =
+        match (Json.member "exact" j, sint "approx_calls") with
+        | Some (Json.Bool exact), Some calls when exact = (calls = 0) ->
+          Ok (exact, calls)
+        | Some (Json.Bool _), Some _ ->
+          corrupt "header's exact flag disagrees with its approx_calls"
+        | _ -> corrupt "header lacks a boolean exact or an approx_calls stat"
+      in
       let order =
         match Json.member "order" j with
         | Some (Json.List l) ->
@@ -233,9 +247,7 @@ let head_of_json ~path text =
       | ( Some circuit, Some inputs, Some strategy, Some weighting,
           Some reorder, Some order, Some default_sp, Some default_st,
           Some nodes, Some leaves ) ->
-        let exact =
-          match Json.member "exact" j with Some (Json.Bool b) -> b | _ -> false
-        in
+        let* exact, approx_calls = exactness () in
         let max_size =
           match Json.member "max_size" j with
           | Some (Json.Int m) -> Some m
@@ -248,7 +260,7 @@ let head_of_json ~path text =
             gates = stat_i "gates";
             gates_done = stat_i "gates_done";
             skipped = stat_i "skipped";
-            approx_calls = stat_i "approx_calls";
+            approx_calls;
             peak_size = stat_i "peak_size";
             final_size = stat_i "final_size";
             bdd_nodes = stat_i "bdd_nodes";
@@ -308,10 +320,11 @@ let parse_leaves ~path payload =
     else Ok (Array.init count (fun i -> get_f64 payload (4 + (8 * i))))
 
 (* ------------------------------------------------------------------ *)
-(* Structural validation — everything [make_node] and the eval loops
-   rely on, checked before any node exists, so corruption that survives
-   a CRC (it cannot, for single-byte damage, but belt and braces) still
-   cannot build a cyclic or order-violating diagram. *)
+(* Structural validation — everything the eval loops, [of_repr] and
+   [make_node] rely on, checked before any program or node exists, so
+   corruption that survives a CRC (it cannot, for single-byte damage, but
+   belt and braces) still cannot build a cyclic or order-violating
+   program or diagram. *)
 
 let validate ~path meta (nvars, root, code) leaves =
   let corrupt what = fail ~section:"CODE" ~reason:"corrupt" ~path what in
@@ -485,21 +498,42 @@ let save ?(defaults = (0.5, 0.5)) ~path (model : Powermodel.Model.t) =
 (* ------------------------------------------------------------------ *)
 (* Load / verify.                                                       *)
 
+type artifact = { meta : meta; compiled : Powermodel.Model.compiled }
+
 type loaded = {
   meta : meta;
   model : Powermodel.Model.t;
   compiled : Powermodel.Model.compiled;
 }
 
-(* The program is levelized straight from the decoded arrays.  The ADD
-   of [loaded.model] is rebuilt bottom-up through the ordinary
-   hash-consing constructor, under the stored level order.  Slot order is
-   DFS-with-sharing (a re-referenced child can sit at a *smaller* slot
-   than its parent), so the topological order that is guaranteed is the
-   level order: every edge goes strictly deeper (validated above).
-   Building deepest levels first therefore sees every child before any
-   parent. *)
-let rebuild meta (nvars, root, code) leaves =
+(* The program is levelized straight from the decoded, validated arrays;
+   the width, the exactness and the arrays are all the header's and the
+   sections' own, so no diagram node is built. *)
+let artifact_of meta (nvars, root, code) leaves =
+  let program =
+    Dd.Compiled.of_repr
+      { r_vars = nvars; r_order = meta.order; r_code = code; r_leaves = leaves;
+        r_root = root }
+  in
+  {
+    meta;
+    compiled =
+      Powermodel.Model.compiled_of_program ~inputs:meta.inputs
+        ~exact:meta.exact program;
+  }
+
+(* The ADD of [loaded.model] is rebuilt bottom-up from the artifact's
+   program through the ordinary hash-consing constructor, under the
+   stored level order.  Slot order is DFS-with-sharing (a re-referenced
+   child can sit at a *smaller* slot than its parent), so the topological
+   order that is guaranteed is the level order: every edge goes strictly
+   deeper (validated above).  Building deepest levels first therefore
+   sees every child before any parent. *)
+let rebuild ({ meta; compiled } : artifact) =
+  let { Dd.Compiled.r_vars = nvars; r_code = code; r_leaves = leaves;
+        r_root = root; _ } =
+    Dd.Compiled.to_repr (Powermodel.Model.compiled_program compiled)
+  in
   let mgr = Dd.Add.manager () in
   if nvars > 0 then Dd.Add.set_order mgr meta.order;
   let leaf_nodes = Array.map (fun v -> Dd.Add.const mgr v) leaves in
@@ -538,14 +572,12 @@ let rebuild meta (nvars, root, code) leaves =
       stats = meta.stats;
     }
   in
-  let program =
-    Dd.Compiled.of_repr
-      { r_vars = nvars; r_order = meta.order; r_code = code; r_leaves = leaves;
-        r_root = root }
-  in
-  { meta; model; compiled = Powermodel.Model.compiled_of_program model program }
+  { meta; model; compiled }
 
-let load path =
+(* Both entry points share one span, one fault seam and one pair of
+   counters; [finish] turns the decoded artifact into what the caller
+   asked for. *)
+let load_with finish path =
   Obs.Trace.with_span "store_load" ~cat:"store"
     ~args:(fun () -> [ ("file", Json.String path) ])
   @@ fun () ->
@@ -560,8 +592,8 @@ let load path =
     in
     let* data = read_file ~path in
     let* meta, prog, leaves = decode ~path data in
-    match rebuild meta prog leaves with
-    | loaded -> Ok loaded
+    match finish (artifact_of meta prog leaves) with
+    | v -> Ok v
     | exception e ->
       Error
         (Guard.Error.with_context [ ("file", path) ] (Guard.Error.of_exn e))
@@ -570,6 +602,9 @@ let load path =
   | Ok _ -> Obs.Metrics.incr m_loads
   | Error _ -> Obs.Metrics.incr m_load_failures);
   result
+
+let load_compiled path = load_with Fun.id path
+let load path = load_with rebuild path
 
 let verify path =
   Obs.Trace.with_span "store_verify" ~cat:"store"
@@ -580,9 +615,14 @@ let verify path =
   let* meta, _prog, _leaves = decode ~path data in
   Ok meta
 
-(* Program arrays (triples are 3 boxed-free ints, but the rebuilt diagram
-   adds hash-consed nodes and unique-table slots) plus the levelized step
-   table, whose worst case is [16 entries x nodes] per radix-4 pass.
-   Deliberately generous — the cache ceiling is a memory-pressure valve,
-   not an accounting exercise. *)
+(* 200 bytes a node was sized for a load that also rebuilt the diagram
+   (hash-consed nodes and unique-table slots on top of the program's
+   three ints a triple and the levelized step table, whose worst case is
+   16 entries x nodes per radix-4 pass).  A compiled-only load keeps no
+   diagram, so this is now a deliberate over-estimate.  It stays: the
+   benchmark's query workload derives its cache ceiling from this figure,
+   and moving it would change which artifacts reload, so re-deriving it
+   from the program arrays belongs with a benchmark-side change to that
+   ceiling.  The ceiling is a memory-pressure valve, not an accounting
+   exercise. *)
 let approx_bytes meta = (meta.nodes * 200) + (meta.leaves * 64) + 4096

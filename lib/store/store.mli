@@ -8,12 +8,13 @@
     statistics and build/reorder statistics, so any later process — a
     long-running [cfpm serve], a cross-stage consumer in the ATLAS sense —
     can answer every model query without touching the netlist again.
-    {!load} levelizes the program straight from the stored triples
-    ({!Dd.Compiled.of_repr}) and also rebuilds the full
-    {!Powermodel.Model.t} (the triple program {e is} the reachable ADD;
-    it is rebuilt bottom-up through the hash-consing constructor), so
-    every query ({!Powermodel.Analysis} included) answers on a loaded
-    model exactly as on a freshly built one.
+    The triple program {e is} the reachable ADD, so {!load_compiled}
+    (what the query server uses) levelizes it straight from the stored
+    triples ({!Dd.Compiled.of_repr}) and builds no diagram node: every
+    query on the compiled model ({!Powermodel.Analysis} included)
+    answers exactly as on a freshly built one.  {!load} additionally
+    rebuilds a full {!Powermodel.Model.t} for callers that need the
+    diagram itself.
 
     {2 Format (cfpm-store/1)}
 
@@ -31,8 +32,8 @@
     v}
 
     Every section is independently CRC-checked ({!Journal.crc32}, the
-    IEEE polynomial), and the byte stream is fully validated before any
-    diagram node is constructed, so a corrupted artifact is {e always} a
+    IEEE polynomial), and the byte stream is fully validated before a program is
+    levelized or a diagram node constructed, so a corrupted artifact is {e always} a
     classified error — never a crash, never a silently wrong model.
     Writes go through {!Ioutil.write_atomic} (data fsync, atomic rename,
     parent-directory fsync).
@@ -64,6 +65,9 @@ type meta = {
   max_size : int option;
   reorder : Powermodel.Reorder.policy;
   exact : bool;
+      (** No approximation was applied.  HEAD stores it twice, as the
+          [exact] member and as [stats.approx_calls = 0]; a header
+          lacking either, or where they disagree, is ["corrupt"]. *)
   order : int array;  (** level-to-variable over the [2 * inputs] vars *)
   default_sp : float;
   default_st : float;
@@ -84,6 +88,22 @@ val save :
     for expectation queries that do not specify their own.  Returns the
     artifact's metadata; I/O failures are [Resource] errors. *)
 
+type artifact = { meta : meta; compiled : Powermodel.Model.compiled }
+(** A loaded artifact as the query server holds it: its header and its
+    compiled program, with no {!Powermodel.Model.t} and no {!Dd.Add}
+    manager behind them. *)
+
+val load_compiled : string -> (artifact, Guard.Error.t) result
+(** Read, verify and levelize: decode, validate, then
+    {!Dd.Compiled.of_repr} on the decoded arrays.  No ADD node is built
+    and nothing is recompiled.  [switched_capacitance_compiled],
+    [eval_batch] and the {!Powermodel.Analysis} expectation /
+    worst-case / sensitivity queries on [compiled] all answer exactly as
+    on the model that was saved, and [worst add] reports [optimal] from
+    the header's checked exactness.  Honours the [store_read]
+    fault-injection point ({!Guard.Fault}); traced as a [store_load]
+    span and counted in [store.loads] / [store.load_failures]. *)
+
 type loaded = {
   meta : meta;
   model : Powermodel.Model.t;
@@ -91,14 +111,11 @@ type loaded = {
 }
 
 val load : string -> (loaded, Guard.Error.t) result
-(** Read, verify and reconstruct: decode, validate, rebuild the ADD, then
-    {!Dd.Compiled.of_repr} on the decoded arrays (the ADD is never
-    recompiled).  [switched_capacitance], [eval_batch] and the
-    {!Powermodel.Analysis} expectation / worst-case / sensitivity queries,
-    on [model] or on [compiled], all answer exactly as on the model that
-    was saved.  Honours the [store_read] fault-injection
-    point ({!Guard.Fault}).  The returned diagram is protected in its own
-    fresh manager. *)
+(** {!load_compiled}, then rebuild the ADD from the program: [model] is
+    rebuilt bottom-up through the hash-consing constructor, protected in
+    its own fresh manager, and answers every query exactly as the model
+    that was saved.  Same errors, fault point, span and counters as
+    {!load_compiled}; use that unless the diagram itself is needed. *)
 
 val verify : string -> (meta, Guard.Error.t) result
 (** Cold check: read the artifact, verify magic/version, every section
@@ -117,6 +134,8 @@ val reason : Guard.Error.t -> string option
     errors. *)
 
 val approx_bytes : meta -> int
-(** Rough in-memory footprint of the loaded artifact (program arrays +
-    step tables + diagram nodes) — the unit of the serve layer's cache
-    ceiling. *)
+(** Rough in-memory footprint of a loaded artifact — the unit of the
+    serve layer's cache ceiling.  It still charges 200 bytes a node,
+    sized when a load also rebuilt the diagram; a {!load_compiled}
+    artifact holds only the program arrays and the step table, so this
+    is now a deliberate over-estimate (see store.ml). *)

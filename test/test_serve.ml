@@ -287,6 +287,26 @@ let test_store_read_fault () =
         rate = 1.0; seed = 1 } ];
   Fun.protect ~finally:(fun () -> Guard.Fault.clear ())
   @@ fun () ->
+  (* both store entry points fire the seam, with the same typed error *)
+  let path = Filename.concat dir "model.cfpm" in
+  let injected name f =
+    match Guard.Fault.with_task ~key:"store" ~attempt:0 (fun () -> f path) with
+    | Ok () -> Alcotest.failf "store_read: %s ignored the fault" name
+    | Error e -> e
+    | exception e ->
+      Alcotest.failf "store_read: %s raised %s" name (Printexc.to_string e)
+  in
+  let full = injected "load" (fun p -> Result.map ignore (Store.load p)) in
+  let compiled =
+    injected "load_compiled" (fun p -> Result.map ignore (Store.load_compiled p))
+  in
+  Alcotest.(check string) "store_read: load error kind" "resource"
+    (Guard.Error.kind_name full.Guard.Error.kind);
+  if full <> compiled then
+    Alcotest.failf "store_read: load and load_compiled differ: %s | %s"
+      (Guard.Error.to_string full) (Guard.Error.to_string compiled);
+  Alcotest.(check (option string)) "store_read: same reason"
+    (Store.reason full) (Store.reason compiled);
   let raw =
     Serve.Handler.handle_string handler
       {|{"id":1,"op":"meta","model":"model.cfpm"}|}
@@ -357,16 +377,16 @@ let test_path_escape () =
 
 let test_cache_eviction () =
   let dir, _, meta = Lazy.force fixture in
-  (* a second artifact so the cache has something to evict *)
-  let model2 = Powermodel.Model.build (Circuits.Adder.circuit ~bits:3) in
+  (* a second, wider artifact so the cache has something to evict *)
+  let model2 = Powermodel.Model.build (Circuits.Adder.circuit ~bits:4) in
   let path2 = Filename.concat dir "model2.cfpm" in
-  (match Store.save ~path:path2 model2 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "save2: %s" (Guard.Error.to_string e));
+  let meta2 = ok_or_fail "save2" (Store.save ~path:path2 model2) in
   Fun.protect ~finally:(fun () -> Sys.remove path2)
   @@ fun () ->
-  (* ceiling below two artifacts but above one *)
-  let ceiling = Store.approx_bytes meta + 1 in
+  (* ceiling below two artifacts but above either one *)
+  let ceiling =
+    max (Store.approx_bytes meta) (Store.approx_bytes meta2) + 1
+  in
   let cache = Serve.Cache.create ~byte_ceiling:ceiling ~root:dir () in
   ignore (ok_or_fail "load1" (Serve.Cache.find_or_load cache "model.cfpm"));
   ignore (ok_or_fail "load2" (Serve.Cache.find_or_load cache "model2.cfpm"));
@@ -377,7 +397,57 @@ let test_cache_eviction () =
     Alcotest.failf "expected an eviction in %s"
       (Json.to_string ~pretty:false stats));
   (* the evicted artifact reloads on demand *)
-  ignore (ok_or_fail "reload" (Serve.Cache.find_or_load cache "model.cfpm"))
+  ignore (ok_or_fail "reload" (Serve.Cache.find_or_load cache "model.cfpm"));
+  (* Alternating the two artifacts under that ceiling reloads on every
+     request; the answers must be byte-identical to an unbounded
+     cache's, and every reload must count as a miss. *)
+  let requests =
+    List.concat_map
+      (fun op ->
+        List.map
+          (fun (name, (m : Store.meta)) ->
+            let ones = String.make m.Store.inputs '1' in
+            let alt =
+              String.init m.Store.inputs (fun i ->
+                  if i mod 2 = 0 then '1' else '0')
+            in
+            Printf.sprintf {|{"id":1,"op":"%s","model":"%s"%s}|} op name
+              (match op with
+              | "eval" -> Printf.sprintf {|,"x_i":"%s","x_f":"%s"|} alt ones
+              | "eval_batch" ->
+                Printf.sprintf {|,"transitions":[["%s","%s"],["%s","%s"]]|}
+                  alt ones ones alt
+              | "expectation" -> {|,"sp":0.3,"st":0.2|}
+              | "worst" -> {|,"method":"add"|}
+              | _ -> ""))
+          [ ("model.cfpm", meta); ("model2.cfpm", meta2) ])
+      [ "eval"; "eval_batch"; "expectation"; "worst"; "sensitivities"; "meta" ]
+  in
+  let answer cache =
+    let h = Serve.Handler.create ~jobs:1 cache in
+    List.map (Serve.Handler.handle_string h) requests
+  in
+  let bounded = Serve.Cache.create ~byte_ceiling:ceiling ~root:dir () in
+  let unbounded = Serve.Cache.create ~root:dir () in
+  let reloaded = answer bounded in
+  List.iter
+    (fun raw ->
+      match Json.member "ok" (parse_response "forced reload" raw) with
+      | Some (Json.Bool true) -> ()
+      | _ -> Alcotest.failf "forced reload answered an error: %s" raw)
+    reloaded;
+  Alcotest.(check (list string))
+    "reloading answers as resident" (answer unbounded) reloaded;
+  let stat cache k =
+    match Json.member k (Serve.Cache.stats cache) with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "cache stats lack %s" k
+  in
+  Alcotest.(check int) "a miss per reload" (List.length requests)
+    (stat bounded "misses");
+  Alcotest.(check int) "no hits" 0 (stat bounded "hits");
+  Alcotest.(check int) "unbounded loads once per artifact" 2
+    (stat unbounded "misses")
 
 (* The exported cache counters must track the internal ones exactly —
    including hits taken on the racing-load path, where a request that
@@ -902,7 +972,7 @@ let eval_batch_matches_reference c =
     in
     ignore (ok_or_fail "save" (Store.save ~path model) : Store.meta)
   end;
-  let loaded = ok_or_fail "load" (Store.load path) in
+  let loaded = ok_or_fail "load" (Store.load_compiled path) in
   let inputs = loaded.Store.meta.Store.inputs in
   let text = batch_request ~inputs c in
   let expected = reference_response ~inputs loaded.Store.compiled text in

@@ -1,8 +1,9 @@
 (* The binary model store: round-trip fidelity (save -> load -> query is
    bit-identical to the freshly built model, across reorder policies and
-   job counts) and hostility to damage (every single-byte corruption and
-   every truncation is a classified error, never a crash, never a wrong
-   answer). *)
+   job counts, through both [Store.load] and the compiled-only
+   [Store.load_compiled]) and hostility to damage (every single-byte
+   corruption and every truncation is the same classified error through
+   both entry points, never a crash, never a wrong answer). *)
 
 let temp_path name suffix =
   let path = Filename.temp_file ("cfpm_" ^ name) suffix in
@@ -32,7 +33,7 @@ let random_pairs ~inputs ~n seed =
       ( Array.init inputs (fun _ -> Random.State.bool st),
         Array.init inputs (fun _ -> Random.State.bool st) ))
 
-let check_bit_identical what model loaded =
+let check_bit_identical what model stored =
   let inputs = model.Powermodel.Model.inputs in
   let compiled = Powermodel.Model.compile model in
   let pairs = random_pairs ~inputs ~n:200 7 in
@@ -42,8 +43,7 @@ let check_bit_identical what model loaded =
         Powermodel.Model.switched_capacitance_compiled compiled ~x_i ~x_f
       in
       let got =
-        Powermodel.Model.switched_capacitance_compiled
-          loaded.Store.compiled ~x_i ~x_f
+        Powermodel.Model.switched_capacitance_compiled stored ~x_i ~x_f
       in
       if not (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got))
       then
@@ -69,7 +69,10 @@ let test_round_trip_policies () =
         (name ^ ": inputs") model.Powermodel.Model.inputs
         loaded.Store.meta.Store.inputs;
       Alcotest.(check bool) (name ^ ": exact") true meta.Store.exact;
-      check_bit_identical name model loaded)
+      check_bit_identical name model loaded.Store.compiled;
+      let artifact = ok_or_fail "load_compiled" (Store.load_compiled path) in
+      check_bit_identical (name ^ " (compiled load)") model
+        artifact.Store.compiled)
     Powermodel.Reorder.all
 
 let test_round_trip_jobs () =
@@ -102,7 +105,96 @@ let test_round_trip_approximate () =
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
   Alcotest.(check bool) "approximate" false meta.Store.exact;
   let loaded = ok_or_fail "load" (Store.load path) in
-  check_bit_identical "approx" model loaded
+  check_bit_identical "approx" model loaded.Store.compiled;
+  let artifact = ok_or_fail "load_compiled" (Store.load_compiled path) in
+  check_bit_identical "approx (compiled load)" model artifact.Store.compiled;
+  (* neither route may claim an optimum for a collapsed model *)
+  Alcotest.(check bool) "rebuilt worst add is not optimal" false
+    (Powermodel.Adversarial.worst_add loaded.Store.model).optimal;
+  Alcotest.(check bool) "compiled worst add is not optimal" false
+    (Powermodel.Adversarial.worst_add_compiled artifact.Store.compiled)
+      .optimal
+
+(* The query circuits, each built exact and saved: the compiled-only
+   load (what the server holds) answers eval, eval_batch, expectation,
+   worst add and sensitivities bit for bit as the freshly built model's
+   own ADD entry points do. *)
+let query_circuits = [ "decod"; "x2"; "alu2"; "cm85"; "cmb"; "cm150" ]
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let batch_digest out =
+  let b = Bytes.create (8 * Array.length out) in
+  Array.iteri
+    (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v))
+    out;
+  Digest.to_hex (Digest.bytes b)
+
+let compiled_load_matches_fresh name =
+  let entry = Option.get (Circuits.Suite.find name) in
+  let circuit = entry.Circuits.Suite.build () in
+  let model =
+    Powermodel.Model.build ~reorder:Powermodel.Reorder.Declared circuit
+  in
+  let path = temp_path ("fresh_" ^ name) ".cfpm" in
+  Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
+  ignore (ok_or_fail "save" (Store.save ~path model) : Store.meta);
+  let c =
+    (ok_or_fail "load_compiled" (Store.load_compiled path)).Store.compiled
+  in
+  let fail what =
+    Alcotest.failf "%s: %s differs from the fresh build" name what
+  in
+  let inputs = model.Powermodel.Model.inputs in
+  Alcotest.(check int) (name ^ ": inputs") inputs
+    (Powermodel.Model.compiled_inputs c);
+  (* eval, and the eval_batch digest, over a Markov sequence *)
+  let seq =
+    Stimulus.Generator.sequence (Stimulus.Prng.create 97) ~bits:inputs
+      ~length:1025 ~sp:0.5 ~st:0.3
+  in
+  let fresh = Powermodel.Model.compile model in
+  let batch, n = Powermodel.Model.pack_transitions fresh seq in
+  let batch', _ = Powermodel.Model.pack_transitions c seq in
+  if not (Bytes.equal batch batch') then fail "packed batch";
+  let out = Powermodel.Model.eval_batch ~jobs:1 c ~inputs:batch ~n in
+  for k = 1 to n do
+    let x_i = seq.(k - 1) and x_f = seq.(k) in
+    let want = Powermodel.Model.switched_capacitance model ~x_i ~x_f in
+    if not (bits_equal want out.(k - 1)) then fail "eval_batch";
+    if
+      not
+        (bits_equal want
+           (Powermodel.Model.switched_capacitance_compiled c ~x_i ~x_f))
+    then fail "eval"
+  done;
+  Alcotest.(check string) (name ^ ": eval_batch digest")
+    (batch_digest (Powermodel.Model.eval_batch ~jobs:1 fresh ~inputs:batch ~n))
+    (batch_digest out);
+  List.iter
+    (fun (sp, st) ->
+      if
+        not
+          (bits_equal
+             (Powermodel.Analysis.expected_capacitance model ~sp ~st)
+             (Powermodel.Analysis.expected_capacitance_compiled c ~sp ~st))
+      then fail (Printf.sprintf "expectation at (%g, %g)" sp st))
+    [ (0.5, 0.5); (0.5, 0.05); (0.2, 0.3); (0.8, 0.1) ];
+  let w = Powermodel.Adversarial.worst_add model in
+  let w' = Powermodel.Adversarial.worst_add_compiled c in
+  if
+    not
+      (bits_equal w.value w'.value && bits_equal w.upper w'.upper
+     && w.x_i = w'.x_i && w.x_f = w'.x_f)
+  then fail "worst add";
+  Alcotest.(check bool) (name ^ ": worst add is optimal") true w'.optimal;
+  let s = Powermodel.Analysis.toggle_sensitivities model in
+  let s' = Powermodel.Analysis.toggle_sensitivities_compiled c in
+  if Array.length s <> Array.length s' || not (Array.for_all2 bits_equal s s')
+  then fail "sensitivities"
+
+let test_compiled_load_matches_fresh () =
+  List.iter compiled_load_matches_fresh query_circuits
 
 let test_verify_ok () =
   let path, _, meta = save_small "verify" in
@@ -127,10 +219,37 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-(* Every single-byte mutation must be caught by verify AND by load —
-   as a classified error, never an exception, never an Ok.  The fuzz
-   artifact is a heavily collapsed model: a few hundred bytes, so the
-   sweep is exhaustive yet cheap (the format is identical at any size). *)
+(* [verify], [load] and [load_compiled] of one artifact: each must
+   return a typed result without raising, and on damage all three the
+   same [Guard.Error] (kind, message, context — so the same reason).
+   Returns that error, or [None] when all three accept the bytes. *)
+let open_all what path =
+  let attempt name f =
+    match f path with
+    | Ok _ -> None
+    | Error e -> Some e
+    | exception e ->
+      Alcotest.failf "%s: %s raised %s" what name (Printexc.to_string e)
+  in
+  let verified =
+    attempt "verify" (fun p -> Result.map ignore (Store.verify p))
+  in
+  let loaded = attempt "load" (fun p -> Result.map ignore (Store.load p)) in
+  let compiled =
+    attempt "load_compiled" (fun p -> Result.map ignore (Store.load_compiled p))
+  in
+  if not (verified = loaded && loaded = compiled) then
+    Alcotest.failf "%s: verify/load/load_compiled disagree: %s | %s | %s" what
+      (Option.fold ~none:"ok" ~some:Guard.Error.to_string verified)
+      (Option.fold ~none:"ok" ~some:Guard.Error.to_string loaded)
+      (Option.fold ~none:"ok" ~some:Guard.Error.to_string compiled);
+  compiled
+
+(* Every single-byte mutation must be caught by verify, load and
+   load_compiled alike — as the same classified error, never an
+   exception, never an Ok.  The fuzz artifact is a heavily collapsed
+   model: a few hundred bytes, so the sweep is exhaustive yet cheap (the
+   format is identical at any size). *)
 let test_corruption_fuzz () =
   let path, _, _ = save_small ~max_size:16 "fuzz" in
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
@@ -142,22 +261,13 @@ let test_corruption_fuzz () =
     let b = Bytes.of_string original in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xA5));
     write_file hurt (Bytes.to_string b);
-    (match Store.verify hurt with
-    | Ok _ -> Alcotest.failf "byte %d of %d: corruption not detected" i n
-    | Error e -> (
+    match open_all (Printf.sprintf "byte %d" i) hurt with
+    | None -> Alcotest.failf "byte %d of %d: corruption not detected" i n
+    | Some e -> (
       match Store.reason e with
       | Some ("corrupt" | "truncated" | "version-skew") -> ()
       | Some r -> Alcotest.failf "byte %d: unexpected reason %s" i r
       | None -> Alcotest.failf "byte %d: unclassified error" i)
-    | exception e ->
-      Alcotest.failf "byte %d: verify raised %s" i (Printexc.to_string e));
-    (* load must agree (sampled: it is the expensive path) *)
-    if i mod 7 = 0 then
-      match Store.load hurt with
-      | Ok _ -> Alcotest.failf "byte %d: load accepted a corrupt artifact" i
-      | Error _ -> ()
-      | exception e ->
-        Alcotest.failf "byte %d: load raised %s" i (Printexc.to_string e)
   done
 
 (* Every strict prefix must be rejected — the END terminator means a
@@ -171,14 +281,12 @@ let test_truncation_fuzz () =
   let n = String.length original in
   for len = 0 to n - 1 do
     write_file cut (String.sub original 0 len);
-    match Store.verify cut with
-    | Ok _ -> Alcotest.failf "prefix %d of %d verified" len n
-    | Error e -> (
+    match open_all (Printf.sprintf "prefix %d" len) cut with
+    | None -> Alcotest.failf "prefix %d of %d verified" len n
+    | Some e -> (
       match Store.reason e with
       | Some _ -> ()
       | None -> Alcotest.failf "prefix %d: unclassified error" len)
-    | exception e ->
-      Alcotest.failf "prefix %d: raised %s" len (Printexc.to_string e)
   done
 
 let test_reason_classes () =
@@ -195,9 +303,9 @@ let test_reason_classes () =
   let reason_at i v =
     let p = mutate i v in
     Fun.protect ~finally:(fun () -> cleanup p) @@ fun () ->
-    match Store.verify p with
-    | Ok _ -> Alcotest.failf "mutation at %d verified" i
-    | Error e -> Store.reason e
+    match open_all (Printf.sprintf "mutation at %d" i) p with
+    | None -> Alcotest.failf "mutation at %d verified" i
+    | Some e -> Store.reason e
   in
   (* magic byte -> version-skew *)
   Alcotest.(check (option string))
@@ -213,11 +321,91 @@ let test_reason_classes () =
   let cut = temp_path "classes_cut" ".cfpm" in
   Fun.protect ~finally:(fun () -> cleanup cut) @@ fun () ->
   write_file cut (String.sub original 0 (String.length original - 5));
-  (match Store.verify cut with
-  | Ok _ -> Alcotest.fail "truncated artifact verified"
-  | Error e ->
+  match open_all "truncation" cut with
+  | None -> Alcotest.fail "truncated artifact verified"
+  | Some e ->
     Alcotest.(check (option string))
-      "truncated" (Some "truncated") (Store.reason e))
+      "truncated" (Some "truncated") (Store.reason e)
+
+(* HEAD stores exactness twice: the [exact] member and
+   [stats.approx_calls = 0].  A header lacking either, or where they
+   disagree, is corrupt through every entry point, so no crafted header
+   can make [worst add] claim an optimum the rebuilt model would not. *)
+let with_head original f =
+  let len = Int32.to_int (String.get_int32_be original 16) land 0xFFFFFFFF in
+  let head =
+    match Json.of_string (String.sub original 20 len) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "stored HEAD does not parse: %s" e
+  in
+  let payload = Json.to_string ~pretty:false (f head) in
+  let framed = Buffer.create 64 in
+  Buffer.add_string framed "HEAD";
+  Buffer.add_int32_be framed (Int32.of_int (String.length payload));
+  Buffer.add_string framed payload;
+  let framed = Buffer.contents framed in
+  let crc = Buffer.create 4 in
+  Buffer.add_int32_be crc (Int32.of_int (Journal.crc32 framed));
+  String.sub original 0 12 ^ framed ^ Buffer.contents crc
+  ^ String.sub original (24 + len) (String.length original - 24 - len)
+
+let set_member k v = function
+  | Json.Obj l ->
+    Json.Obj
+      (List.filter_map
+         (fun (k', v') ->
+           if k' <> k then Some (k', v') else Option.map (fun v -> (k, v)) v)
+         l)
+  | j -> j
+
+let set_stat k v = function
+  | Json.Obj l ->
+    Json.Obj
+      (List.map
+         (fun (k', s) -> if k' = "stats" then (k', set_member k v s) else (k', s))
+         l)
+  | j -> j
+
+let test_exactness_one_source () =
+  let exact_path, _, _ = save_small "exact_src" in
+  let approx_path, _, approx_meta = save_small ~max_size:6 "approx_src" in
+  Fun.protect ~finally:(fun () -> cleanup exact_path; cleanup approx_path)
+  @@ fun () ->
+  Alcotest.(check bool) "collapsed model has approx calls" true
+    (approx_meta.Store.stats.approx_calls > 0);
+  let exact = read_file exact_path and approx = read_file approx_path in
+  let crafted = temp_path "crafted" ".cfpm" in
+  Fun.protect ~finally:(fun () -> cleanup crafted) @@ fun () ->
+  let outcome what bytes =
+    write_file crafted bytes;
+    open_all what crafted
+  in
+  (* the re-framing itself is faithful *)
+  (match outcome "re-framed" (with_head exact Fun.id) with
+  | None -> ()
+  | Some e ->
+    Alcotest.failf "re-framed HEAD rejected: %s" (Guard.Error.to_string e));
+  List.iter
+    (fun (what, bytes) ->
+      match outcome what bytes with
+      | None -> Alcotest.failf "%s: header accepted" what
+      | Some e ->
+        Alcotest.(check (option string)) (what ^ ": reason") (Some "corrupt")
+          (Store.reason e);
+        Alcotest.(check (option string)) (what ^ ": section") (Some "HEAD")
+          (Guard.Error.context_value e "section"))
+    [
+      ( "approximate model claiming exact",
+        with_head approx (set_member "exact" (Some (Json.Bool true))) );
+      ( "exact model claiming approximate",
+        with_head exact (set_member "exact" (Some (Json.Bool false))) );
+      ( "exact model with approx calls",
+        with_head exact (set_stat "approx_calls" (Some (Json.Int 2))) );
+      ("no exact member", with_head exact (set_member "exact" None));
+      ( "mistyped exact member",
+        with_head exact (set_member "exact" (Some (Json.Int 1))) );
+      ("no approx_calls stat", with_head approx (set_stat "approx_calls" None));
+    ]
 
 let test_save_validation () =
   let model = Powermodel.Model.build (small_circuit ()) in
@@ -278,6 +466,10 @@ let suite =
       test_round_trip_jobs;
     Alcotest.test_case "round trip of an approximate model" `Quick
       test_round_trip_approximate;
+    Alcotest.test_case "compiled load answers as the fresh build" `Quick
+      test_compiled_load_matches_fresh;
+    Alcotest.test_case "exactness has one checked source" `Quick
+      test_exactness_one_source;
     Alcotest.test_case "verify reports the saved metadata" `Quick
       test_verify_ok;
     Alcotest.test_case "every single-byte corruption is caught" `Slow
