@@ -427,6 +427,21 @@ let eval_block t inputs ~first ~count out =
     done
   end
 
+(* [eval_block] with leaf indices in place of values, for a caller that
+   maps each leaf once rather than each output. *)
+let leaf_block t inputs ~first ~count out =
+  if t.root < 0 then Array.fill out first count (lnot t.root)
+  else begin
+    let scratch = Array.make tile 0 in
+    let t0 = ref 0 in
+    while !t0 < count do
+      let width = min tile (count - !t0) in
+      walk_tile t inputs scratch ~abs0:(first + !t0) ~width;
+      Array.blit scratch 0 out (first + !t0) width;
+      t0 := !t0 + width
+    done
+  end
+
 type stats = { count : int; total : float; minimum : float; maximum : float }
 
 let empty_stats =
@@ -474,22 +489,29 @@ let shard ?jobs n ~inline ~task =
            let first = b * block in
            task ~first ~count:(min block (n - first))))
 
-let eval_batch ?jobs t ~inputs ~n =
+(* [make n] is the output array; [fill] writes slots [first, first +
+   count) of it, so workers write disjoint slots and the pool join
+   publishes them to the caller. *)
+let run_batch ?jobs t ~inputs ~n ~make fill =
   check_batch t ~inputs ~n;
   Obs.Trace.with_span "eval_batch" ~cat:"compiled"
     ~args:(fun () -> [ ("n", Json.Int n) ])
   @@ fun () ->
   Obs.Metrics.add m_evals n;
-  (* uninitialized is fine: the blocks below cover every slot *)
-  let out = Array.create_float n in
-  (* workers write disjoint 64-bit slots of [out]; the pool join publishes
-     them to the caller *)
+  let out = make n in
   ignore
     (shard ?jobs n
-       ~inline:(fun () -> eval_block t inputs ~first:0 ~count:n out)
-       ~task:(fun ~first ~count () -> eval_block t inputs ~first ~count out)
+       ~inline:(fun () -> fill t inputs ~first:0 ~count:n out)
+       ~task:(fun ~first ~count () -> fill t inputs ~first ~count out)
       : unit list);
   out
+
+(* uninitialized is fine: the blocks cover every slot *)
+let eval_batch ?jobs t ~inputs ~n =
+  run_batch ?jobs t ~inputs ~n ~make:Array.create_float eval_block
+
+let eval_batch_leaves ?jobs t ~inputs ~n =
+  run_batch ?jobs t ~inputs ~n ~make:(fun n -> Array.make n 0) leaf_block
 
 let stats_batch ?jobs t ~inputs ~n =
   check_batch t ~inputs ~n;

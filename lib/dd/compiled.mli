@@ -91,6 +91,13 @@ val eval_batch : ?jobs:int -> t -> inputs:Bytes.t -> n:int -> float array
     Raises [Invalid_argument] when [n] is negative or [inputs] holds
     fewer than [n * vars t] bytes. *)
 
+val eval_batch_leaves : ?jobs:int -> t -> inputs:Bytes.t -> n:int -> int array
+(** {!eval_batch} answering leaf indices: slot [i] is the index into
+    the leaf table ([(to_repr t).r_leaves]) of {!eval_batch}'s slot [i].
+    Same sharding, span, metric and errors.  A caller that renders each
+    leaf once (the serve layer's JSON writer) maps indices instead of
+    hashing floats. *)
+
 type stats = {
   count : int;
   total : float;    (** sum of the evaluations, in block order *)

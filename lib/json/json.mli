@@ -26,6 +26,13 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val float_repr : float -> string
+(** The token {!to_string} writes for [Float f]: the shortest [%g]
+    form that parses back to [f]'s bit pattern (else [%.17g]), with a
+    [.0] suffix when it would otherwise read back as an {!Int}, and
+    [null] for a non-finite [f].  Exposed so a writer that emits the
+    same floats many times can render each one once. *)
+
 val to_string : ?pretty:bool -> t -> string
 (** Render to JSON text.  [pretty] (default [true]) indents with two
     spaces; compact otherwise.  Object member order is preserved. *)

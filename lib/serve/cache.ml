@@ -9,7 +9,26 @@ let m_hits = Obs.Metrics.metric "serve.cache_hits"
 let m_misses = Obs.Metrics.metric "serve.cache_misses"
 let m_evictions = Obs.Metrics.metric "serve.cache_evictions"
 
-type entry = { loaded : Store.artifact; bytes : int }
+type entry = {
+  loaded : Store.artifact;
+  bytes : int;
+  leaf_text : string array option Atomic.t;
+}
+
+(* Racing first calls each render the same table and the last publish
+   wins: identical values, so harmless, and a reader only ever sees a
+   whole table. *)
+let leaf_text entry =
+  match Atomic.get entry.leaf_text with
+  | Some text -> text
+  | None ->
+    let program =
+      Powermodel.Model.compiled_program entry.loaded.Store.compiled
+    in
+    let leaves = (Dd.Compiled.to_repr program).Dd.Compiled.r_leaves in
+    let text = Array.map Json.float_repr leaves in
+    Atomic.set entry.leaf_text (Some text);
+    text
 
 type slot = { entry : entry; mutable stamp : int }
 
@@ -116,7 +135,11 @@ let find_or_load t name =
       | Error _ as e -> e
       | Ok loaded ->
         let entry =
-          { loaded; bytes = Store.approx_bytes loaded.Store.meta }
+          {
+            loaded;
+            bytes = Store.approx_bytes loaded.Store.meta;
+            leaf_text = Atomic.make None;
+          }
         in
         let entry, fresh =
           locked t (fun () ->

@@ -15,7 +15,8 @@
     harmless, and rare.
 
     Concurrency of the entries themselves: an entry is immutable once
-    loaded, and every query ({!Handler}'s evaluations and analyses alike)
+    loaded (its {!leaf_text} slot is filled once, atomically), and every
+    query ({!Handler}'s evaluations and analyses alike)
     reads the compiled program without a lock; see DESIGN.md "The query
     server". *)
 
@@ -23,7 +24,15 @@ type entry = {
   loaded : Store.artifact;
       (** header + compiled program: no model, no ADD manager *)
   bytes : int;  (** {!Store.approx_bytes} of the artifact's meta *)
+  leaf_text : string array option Atomic.t;  (** read through {!leaf_text} *)
 }
+
+val leaf_text : entry -> string array
+(** Every leaf of the entry's program as {!Json.float_repr} renders it,
+    indexed like the leaf table.  Rendered on the first call, then
+    published atomically and shared by every later call and thread, so
+    a response writer renders each leaf once per load, not once per
+    request. *)
 
 type t
 

@@ -75,13 +75,12 @@ let opt_prob req k ~default =
 (* ------------------------------------------------------------------ *)
 (* Deadline budget: created per request, enforced at operation seams.   *)
 
+let default_budget t =
+  Option.map (fun d -> Guard.Budget.create ~wall_seconds:d ()) t.deadline
+
 let budget_of t req =
   match Json.member "deadline_ms" req with
-  | None | Some Json.Null ->
-    Ok
-      (Option.map
-         (fun d -> Guard.Budget.create ~wall_seconds:d ())
-         t.deadline)
+  | None | Some Json.Null -> Ok (default_budget t)
   | Some j -> (
     match Json.to_float j with
     | Some ms when Float.is_finite ms && ms >= 0.0 ->
@@ -119,9 +118,26 @@ let op_eval t req check =
 
 (* Batches evaluate in fixed blocks with a budget check between blocks,
    so a deadline can interrupt a large batch at a block seam; within a
-   block the pool-sharded evaluator runs to completion.  Outputs are
-   accumulated in block order — byte-identical for every job count. *)
+   block the pool-sharded evaluator runs to completion.  Each block's
+   leaf indices go to [emit] in block order — byte-identical for every
+   job count.  Both eval_batch routes run this loop. *)
 let eval_block = 4096
+
+let eval_blocks t program packed ~total check emit =
+  let stride = Dd.Compiled.vars program in
+  let rec go i =
+    if i >= total then Ok ()
+    else
+      let* () = check () in
+      let n = min eval_block (total - i) in
+      (* a one-block batch is evaluated in place, not copied *)
+      let inputs =
+        if n = total then packed else Bytes.sub packed (i * stride) (n * stride)
+      in
+      emit (Dd.Compiled.eval_batch_leaves ?jobs:t.jobs program ~inputs ~n);
+      go (i + n)
+  in
+  go 0
 
 let op_eval_batch t req check =
   let* entry = model t req in
@@ -162,16 +178,13 @@ let op_eval_batch t req check =
            "transitions must be a list of [x_i, x_f] bitstring pairs")
   in
   let* () = fill 0 transitions in
-  let rec go i acc =
-    if i >= total then Ok (Json.List (List.rev acc))
-    else
-      let* () = check () in
-      let n = min eval_block (total - i) in
-      let block = Bytes.sub packed (i * stride) (n * stride) in
-      let out = Dd.Compiled.eval_batch ?jobs:t.jobs program ~inputs:block ~n in
-      go (i + n) (Array.fold_left (fun l v -> Json.Float v :: l) acc out)
+  let leaves = (Dd.Compiled.to_repr program).Dd.Compiled.r_leaves in
+  let acc = ref [] in
+  let* () =
+    eval_blocks t program packed ~total check (fun idx ->
+        acc := Array.fold_left (fun l k -> Json.Float leaves.(k) :: l) !acc idx)
   in
-  go 0 []
+  Ok (Json.List (List.rev !acc))
 
 let op_expectation t req check =
   let* entry = model t req in
@@ -284,12 +297,6 @@ let op_stats t =
        ])
 
 let dispatch t req =
-  let* () =
-    (* chaos seam: a mid-request fault, deterministic per request key *)
-    match Guard.Fault.inject "serve_request" with
-    | () -> Ok ()
-    | exception Guard.Error.Guarded e -> Error e
-  in
   let* op = req_string req "op" in
   let* budget = budget_of t req in
   let check () = check_budget budget in
@@ -315,38 +322,212 @@ let dispatch t req =
 (* ------------------------------------------------------------------ *)
 (* The fault boundary.                                                  *)
 
-(* Injection decisions are keyed on what the client sent, so a scripted
-   chaos run fails the same requests whatever worker, connection or
-   ordering served them. *)
-let request_key req =
-  let part k =
-    match Json.member k req with Some j -> Protocol.render j | None -> ""
-  in
-  Printf.sprintf "%s|%s|%s" (part "op") (part "model") (part "id")
+(* Injection decisions are keyed on what the client sent — the op,
+   model and id members as rendered — so a scripted chaos run fails the
+   same requests whatever worker, connection or ordering served them. *)
+let request_key ~op ~model ~id = String.concat "|" [ op; model; id ]
 
-let handle t req =
+(* Counters, the fault key, the [serve_request] seam, exception
+   classification and error shaping, for both routes: [run]'s result,
+   or the finished error response. *)
+let guarded t ~key ~id run =
   Atomic.incr t.requests;
   Obs.Metrics.incr m_requests;
-  let id = Option.value (Json.member "id" req) ~default:Json.Null in
   let result =
     try
-      Guard.Fault.with_task ~key:(request_key req) ~attempt:0 (fun () ->
-          dispatch t req)
+      Guard.Fault.with_task ~key ~attempt:0 (fun () ->
+          let* () =
+            (* chaos seam: a mid-request fault, deterministic per key *)
+            match Guard.Fault.inject "serve_request" with
+            | () -> Ok ()
+            | exception Guard.Error.Guarded e -> Error e
+          in
+          run ())
     with e -> Error (Guard.Error.of_exn e)
   in
   match result with
-  | Ok r -> Protocol.ok_response ~id r
+  | Ok r -> Ok r
   | Error e ->
     Atomic.incr t.errors;
     Obs.Metrics.incr m_errors;
-    Protocol.error_response ~id e
+    Error (Protocol.error_response ~id e)
+
+let handle t req =
+  let part k =
+    match Json.member k req with Some j -> Protocol.render j | None -> ""
+  in
+  let key = request_key ~op:(part "op") ~model:(part "model") ~id:(part "id") in
+  let id = Option.value (Json.member "id" req) ~default:Json.Null in
+  match guarded t ~key ~id (fun () -> dispatch t req) with
+  | Ok r -> Protocol.ok_response ~id r
+  | Error response -> response
+
+(* ------------------------------------------------------------------ *)
+(* The canonical eval_batch frame, answered without a JSON tree.
+
+   [Protocol.render] of an eval_batch request in its documented member
+   order is [{"id":N,"op":"eval_batch","model":"M","transitions":[["B",
+   "B"],...]}]: no whitespace, an int id, a model name needing no escape,
+   and here at least one pair of bitstrings all of one width.  [scan]
+   recognizes exactly that text, without side effects; [None] sends the
+   frame down the generic route, which answers it the same way. *)
+
+type canonical = {
+  id : int;
+  model : string;
+  first : int;  (** offset of the first pair's '[' *)
+  count : int;  (** pairs *)
+  width : int;  (** characters per bitstring *)
+}
+
+let scan s =
+  let n = String.length s in
+  let at i lit =
+    let k = String.length lit in
+    i >= 0 && i + k <= n && String.equal (String.sub s i k) lit
+  in
+  let rec span i ok =
+    if i < n && ok (String.unsafe_get s i) then span (i + 1) ok else i
+  in
+  let head = "{\"id\":" in
+  if not (at 0 head) then None
+  else
+    let i0 = String.length head in
+    let i1 =
+      span (if at i0 "-" then i0 + 1 else i0) (fun c -> c >= '0' && c <= '9')
+    in
+    let id_text = String.sub s i0 (i1 - i0) in
+    match int_of_string_opt id_text with
+    | Some id when String.equal (string_of_int id) id_text ->
+      let op = ",\"op\":\"eval_batch\",\"model\":\"" in
+      if not (at i1 op) then None
+      else
+        let m0 = i1 + String.length op in
+        let m1 =
+          span m0 (fun c -> c >= ' ' && c <= '~' && c <> '"' && c <> '\\')
+        in
+        let tr = "\",\"transitions\":[" in
+        if not (at m1 tr) then None
+        else
+          let first = m1 + String.length tr in
+          let width =
+            span (first + 2) (fun c -> c = '0' || c = '1') - (first + 2)
+          in
+          (* a pair is ["B","B"] and a ',' separator; the last pair has
+             none, and the frame closes with "]}" *)
+          let pair = (2 * width) + 8 in
+          let body = n - 1 - first in
+          let count = body / pair in
+          if count < 1 || body mod pair <> 0 || not (at (n - 2) "]}") then None
+          else begin
+            let bad = ref 0 in
+            let expect i c =
+              let d = Char.code (String.unsafe_get s i) lxor Char.code c in
+              bad := !bad lor d
+            in
+            let bits i =
+              for j = i to i + width - 1 do
+                let c = Char.code (String.unsafe_get s j) in
+                bad := !bad lor ((c lor 1) lxor 0x31)
+              done
+            in
+            for k = 0 to count - 1 do
+              let a = first + (k * pair) in
+              expect a '[';
+              expect (a + 1) '"';
+              bits (a + 2);
+              expect (a + width + 2) '"';
+              expect (a + width + 3) ',';
+              expect (a + width + 4) '"';
+              bits (a + width + 5);
+              expect (a + (2 * width) + 5) '"';
+              expect (a + (2 * width) + 6) ']';
+              if k < count - 1 then expect (a + (2 * width) + 7) ','
+            done;
+            if !bad <> 0 then None
+            else
+              let model = String.sub s m0 (m1 - m0) in
+              Some { id; model; first; count; width }
+          end
+    | _ -> None
+
+(* The response text [Protocol.render (ok_response ...)] would produce,
+   written once into a buffer of its exact length. *)
+let render_batch ~id text blocks =
+  let head = "{\"id\":" ^ string_of_int id ^ ",\"ok\":true,\"result\":[" in
+  let items =
+    List.fold_left
+      (Array.fold_left (fun acc k -> acc + String.length text.(k) + 1))
+      0 blocks
+  in
+  (* the last item's ',' slot holds the ']' of "]}" *)
+  let b = Bytes.create (String.length head + items + 1) in
+  Bytes.blit_string head 0 b 0 (String.length head);
+  let pos = ref (String.length head) in
+  List.iter
+    (Array.iter (fun k ->
+         let str = text.(k) in
+         Bytes.blit_string str 0 b !pos (String.length str);
+         Bytes.set b (!pos + String.length str) ',';
+         pos := !pos + String.length str + 1))
+    blocks;
+  Bytes.blit_string "]}" 0 b (!pos - 1) 2;
+  Bytes.unsafe_to_string b
+
+(* '0'/'1' are 0x30/0x31: the low bit is the bit.  [scan] checked every
+   character, so this reads inside [s]. *)
+let bit s i = Char.unsafe_chr (Char.code (String.unsafe_get s i) land 1)
+
+let eval_canonical t s c =
+  let budget = default_budget t in
+  let check () = check_budget budget in
+  let* entry = Cache.find_or_load t.cache c.model in
+  let inputs = entry.Cache.loaded.Store.meta.Store.inputs in
+  if c.width <> inputs then
+    Error (bits_error ~inputs "x_i" (String.sub s (c.first + 2) c.width))
+  else begin
+    let program =
+      Powermodel.Model.compiled_program entry.Cache.loaded.Store.compiled
+    in
+    let stride = Dd.Compiled.vars program in
+    let packed = Bytes.create (c.count * stride) in
+    let pair = (2 * inputs) + 8 in
+    for k = 0 to c.count - 1 do
+      let x_i = c.first + (k * pair) + 2 and at = k * stride in
+      let x_f = x_i + inputs + 3 in
+      for j = 0 to inputs - 1 do
+        Bytes.unsafe_set packed (at + (2 * j)) (bit s (x_i + j));
+        Bytes.unsafe_set packed (at + (2 * j) + 1) (bit s (x_f + j))
+      done
+    done;
+    let text = Cache.leaf_text entry in
+    let blocks = ref [] in
+    let* () =
+      eval_blocks t program packed ~total:c.count check (fun idx ->
+          blocks := idx :: !blocks)
+    in
+    Ok (render_batch ~id:c.id text (List.rev !blocks))
+  end
 
 let handle_string t s =
-  match Json.of_string s with
-  | Ok req -> Protocol.render (handle t req)
-  | Error msg ->
-    Protocol.render
-      (Protocol.error_response ~id:Json.Null
-         (Guard.Error.parse
-            ~context:[ ("reason", "bad-request") ]
-            (Printf.sprintf "request is not valid JSON: %s" msg)))
+  match scan s with
+  | Some c -> (
+    (* a canonical model name renders as itself between quotes *)
+    let key =
+      request_key ~op:"\"eval_batch\"" ~model:("\"" ^ c.model ^ "\"")
+        ~id:(string_of_int c.id)
+    in
+    match
+      guarded t ~key ~id:(Json.Int c.id) (fun () -> eval_canonical t s c)
+    with
+    | Ok text -> text
+    | Error response -> Protocol.render response)
+  | None -> (
+    match Json.of_string s with
+    | Ok req -> Protocol.render (handle t req)
+    | Error msg ->
+      Protocol.render
+        (Protocol.error_response ~id:Json.Null
+           (Guard.Error.parse
+              ~context:[ ("reason", "bad-request") ]
+              (Printf.sprintf "request is not valid JSON: %s" msg))))

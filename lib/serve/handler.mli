@@ -21,7 +21,10 @@
       transition, through the compiled program
     - [eval_batch] [model transitions=[[x_i, x_f], ...]] → list of
       capacitances, evaluated in deadline-checked blocks sharded over
-      the domain pool — byte-identical for every job count
+      the domain pool — byte-identical for every job count.  A frame
+      in canonical form (see {!handle_string}) is answered without a
+      JSON tree; every other form of the same request answers the same
+      bytes
     - [expectation] [model sp? st?] → exact expected capacitance under
       the Markov statistics (defaults: the artifact's saved [(sp, st)])
     - [worst] [model method?] → a worst-case witness
@@ -82,4 +85,18 @@ val handle : t -> Json.t -> Json.t
 val handle_string : t -> string -> string
 (** {!handle} on raw frame bytes: parses, dispatches, renders compactly
     ({!Protocol.render}).  Unparseable requests answer a [Parse] error
-    with [id = null]. *)
+    with [id = null].
+
+    An [eval_batch] frame in {e canonical} form — exactly the text
+    {!Protocol.render} makes of [{"id", "op", "model", "transitions"}]
+    in that member order, with an [int] id, a model name of printable
+    ASCII needing no escape, and at least one pair of bitstrings that
+    are all one width and all ['0']/['1'] — is answered without a JSON
+    tree: its bits are scanned straight into the batch buffer and the
+    answer written straight out, each leaf's text rendered once per
+    loaded artifact ({!Cache.leaf_text}).  It runs inside the same fault
+    boundary, counters, fault key and default deadline as {!handle}.
+    Any other text — whitespace, another member order, extra members
+    such as [deadline_ms], escapes, another id token, mixed widths — is
+    parsed and handled as above.  Both routes answer a request with the
+    same bytes. *)

@@ -863,17 +863,33 @@ let reference_eval_batch ~inputs compiled req =
   let* values = go 0 [] in
   Ok (Json.List values)
 
-let reference_response ~inputs compiled text =
-  let req =
-    match Json.of_string text with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "request does not parse: %s" e
-  in
-  let id = Option.value (Json.member "id" req) ~default:Json.Null in
-  Test_json.reference_to_string ~pretty:false
-    (match reference_eval_batch ~inputs compiled req with
-    | Ok r -> Serve.Protocol.ok_response ~id r
-    | Error e -> Serve.Protocol.error_response ~id e)
+(* The reference answer to any request text: a parse error as the
+   handler words it, else the artifact load, else the reference batch. *)
+let reference_response ~dir text =
+  let render j = Test_json.reference_to_string ~pretty:false j in
+  match Json.of_string text with
+  | Error msg ->
+    render
+      (Serve.Protocol.error_response ~id:Json.Null
+         (Guard.Error.parse
+            ~context:[ ("reason", "bad-request") ]
+            (Printf.sprintf "request is not valid JSON: %s" msg)))
+  | Ok req ->
+    let id = Option.value (Json.member "id" req) ~default:Json.Null in
+    let ( let* ) = Result.bind in
+    render
+      (match
+         let* name =
+           match Json.member "model" req with
+           | Some (Json.String name) -> Ok name
+           | _ -> Alcotest.failf "request lacks a model: %s" text
+         in
+         let* loaded = Store.load_compiled (Filename.concat dir name) in
+         reference_eval_batch ~inputs:loaded.Store.meta.Store.inputs
+           loaded.Store.compiled req
+       with
+      | Ok r -> Serve.Protocol.ok_response ~id r
+      | Error e -> Serve.Protocol.error_response ~id e)
 
 (* A generated batch: a small random circuit, exact or collapsed to a
    few nodes (collapsed leaves are averages, which need %.17g), a batch
@@ -959,6 +975,66 @@ let batch_request ~inputs c =
          ("transitions", Json.List (Array.to_list items));
        ])
 
+(* Names that need an escape, a non-ASCII byte or a space, each a
+   link to the case's artifact. *)
+let model_aliases dir c =
+  let base = Filename.remove_extension (model_name c) in
+  List.map
+    (fun name ->
+      let path = Filename.concat dir name in
+      if not (Sys.file_exists path) then Unix.symlink (model_name c) path;
+      name)
+    [ base ^ "\"q.cfpm"; base ^ "\xc3\xa9.cfpm"; base ^ " s.cfpm" ]
+
+(* The canonical text [batch_request] renders, and the same request as
+   texts the handler must answer through its generic route: other
+   layouts, extra members, other id tokens, other model names and other
+   transition lists. *)
+let request_variants ~dir c text =
+  let members =
+    match Json.of_string text with
+    | Ok (Json.Obj members) -> members
+    | _ -> Alcotest.failf "batch request is not an object: %s" text
+  in
+  let render ms = Json.to_string ~pretty:false (Json.Obj ms) in
+  let with_member k v =
+    render (List.map (fun (k', v') -> (k', if k' = k then v else v')) members)
+  in
+  let with_id id =
+    let canonical_id = Printf.sprintf "{\"id\":%d," c.bits_seed in
+    let rest = String.length text - String.length canonical_id in
+    Printf.sprintf "{\"id\":%s,%s" id
+      (String.sub text (String.length canonical_id) rest)
+  in
+  let widen = function
+    | Json.List pair ->
+      Json.List
+        (List.map
+           (function Json.String s -> Json.String (s ^ "0") | j -> j)
+           pair)
+    | j -> j
+  in
+  let transitions =
+    match List.assoc "transitions" members with
+    | Json.List l -> l
+    | _ -> Alcotest.failf "batch request lacks transitions: %s" text
+  in
+  [
+    text;
+    Json.to_string ~pretty:true (Json.Obj members);
+    render (List.rev members);
+    render (members @ [ ("deadline_ms", Json.Int 60000) ]);
+  ]
+  @ List.map with_id [ "0"; "-0"; "-7"; "007"; "99999999999999999999" ]
+  @ List.map
+      (fun name -> with_member "model" (Json.String name))
+      (model_aliases dir c)
+  @ [
+      with_member "transitions" (Json.List []);
+      with_member "transitions" (Json.List (List.map widen transitions));
+      with_member "model" (Json.String "absent.cfpm");
+    ]
+
 let eval_batch_matches_reference c =
   let dir, handler = Lazy.force batch_fixture in
   let path = Filename.concat dir (model_name c) in
@@ -974,13 +1050,188 @@ let eval_batch_matches_reference c =
   end;
   let loaded = ok_or_fail "load" (Store.load_compiled path) in
   let inputs = loaded.Store.meta.Store.inputs in
-  let text = batch_request ~inputs c in
-  let expected = reference_response ~inputs loaded.Store.compiled text in
-  let actual = Serve.Handler.handle_string handler text in
-  if not (String.equal expected actual) then
-    QCheck.Test.fail_reportf "response differs:@.reference %s@.handler   %s"
-      expected actual;
+  List.iter
+    (fun text ->
+      let expected = reference_response ~dir text in
+      let actual = Serve.Handler.handle_string handler text in
+      if not (String.equal expected actual) then
+        QCheck.Test.fail_reportf
+          "response differs:@.request   %s@.reference %s@.handler   %s"
+          (if String.length text > 200 then String.sub text 0 200 ^ "..."
+           else text)
+          expected actual)
+    (request_variants ~dir c (batch_request ~inputs c));
   true
+
+(* A canonical frame and its pretty-printed twin take different routes
+   through the handler; everything a client or an operator can see must
+   be the same.  Two fresh handlers replay one mixed list, one fed the
+   canonical texts and one their twins. *)
+let parity_requests ~inputs =
+  let bits k =
+    String.init inputs (fun j -> if (j + k) mod 3 = 0 then '1' else '0')
+  in
+  let batch ?(model = "model.cfpm") ?(width = inputs) id n =
+    Json.Obj
+      [
+        ("id", Json.Int id);
+        ("op", Json.String "eval_batch");
+        ("model", Json.String model);
+        ( "transitions",
+          Json.List
+            (List.init n (fun k ->
+                 Json.List
+                   [
+                     Json.String (String.sub (bits k ^ "01") 0 width);
+                     Json.String (String.sub (bits (k + 1) ^ "10") 0 width);
+                   ])) );
+      ]
+  in
+  List.map (Json.to_string ~pretty:false)
+    [
+      batch 1 3;
+      Json.Obj [ ("id", Json.Int 2); ("op", Json.String "ping") ];
+      batch 3 4096;
+      batch ~width:(inputs + 1) 4 2;
+      batch ~model:"absent.cfpm" 5 2;
+      batch 6 0;
+      Json.Obj
+        [ ("id", Json.Int 7); ("op", Json.String "meta");
+          ("model", Json.String "model.cfpm") ];
+      batch 8 5000;
+      Json.Obj [ ("id", Json.Int 9); ("op", Json.String "stats") ];
+    ]
+
+let pretty text =
+  match Json.of_string text with
+  | Ok j -> Json.to_string ~pretty:true j
+  | Error m -> Alcotest.failf "bad request %s: %s" text m
+
+let replay ?deadline texts =
+  let dir, _, _ = Lazy.force fixture in
+  let handler =
+    Serve.Handler.create ?deadline ~jobs:1 (Serve.Cache.create ~root:dir ())
+  in
+  let count name = Obs.Metrics.value (Obs.Metrics.metric name) in
+  let r0 = count "serve.requests" and e0 = count "serve.errors" in
+  let answers = List.map (Serve.Handler.handle_string handler) texts in
+  (answers, count "serve.requests" - r0, count "serve.errors" - e0)
+
+let test_route_parity () =
+  let _, _, meta = Lazy.force fixture in
+  let texts = parity_requests ~inputs:meta.Store.inputs in
+  let check what =
+    let a, ra, ea = replay texts in
+    let b, rb, eb = replay (List.map pretty texts) in
+    List.iter2 (Alcotest.(check string) (what ^ ": same answer")) a b;
+    Alcotest.(check int) (what ^ ": serve.requests") ra rb;
+    Alcotest.(check int) (what ^ ": serve.errors") ea eb;
+    a
+  in
+  (* the closing stats answers (requests, errors, cache hits and
+     misses) are among the compared answers *)
+  ignore (check "fault-free" : string list);
+  Guard.Fault.install
+    [ { Guard.Fault.point = "serve_request"; mode = Guard.Fault.Fail;
+        rate = 0.5; seed = 3 } ];
+  let answers =
+    Fun.protect ~finally:Guard.Fault.clear (fun () -> check "faulted")
+  in
+  let failed =
+    List.filter
+      (fun raw ->
+        Json.member "ok" (parse_response "faulted" raw)
+        = Some (Json.Bool false))
+      answers
+  in
+  Alcotest.(check bool) "some requests fault" true (List.length failed > 2)
+
+(* A spent default deadline: the canonical batch answers the generic
+   route's deadline error (the elapsed time aside, which is a clock
+   reading). *)
+let test_canonical_deadline () =
+  let dir, _, meta = Lazy.force fixture in
+  let text = List.hd (parity_requests ~inputs:meta.Store.inputs) in
+  let handler =
+    Serve.Handler.create ~deadline:1e-9 ~jobs:1
+      (Serve.Cache.create ~root:dir ())
+  in
+  let without_elapsed raw =
+    match parse_response "deadline" raw with
+    | Json.Obj members ->
+      let err = member_exn "deadline" "error" (Json.Obj members) in
+      let ctx =
+        match Json.member "context" err with
+        | Some (Json.Obj c) -> List.remove_assoc "elapsed_seconds" c
+        | _ -> []
+      in
+      ( Json.member "id" (Json.Obj members),
+        Json.member "kind" err,
+        Json.member "what" err,
+        Json.to_string (Json.Obj ctx) )
+    | _ -> Alcotest.failf "deadline: not an object: %s" raw
+  in
+  let canonical = Serve.Handler.handle_string handler text in
+  let generic =
+    Serve.Protocol.render
+      (Serve.Handler.handle handler
+         (Result.get_ok (Json.of_string text)))
+  in
+  Alcotest.(check (option string)) "reason" (Some "deadline")
+    (error_reason (expect_error "deadline" canonical));
+  Alcotest.(check bool) "same error" true
+    (without_elapsed canonical = without_elapsed generic)
+
+(* Words allocated by [f ()], minor and major, less the promotions
+   counted in both. *)
+let allocated f =
+  let m0 = Gc.minor_words () and _, p0, j0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let m1 = Gc.minor_words () and _, p1, j1 = Gc.counters () in
+  m1 -. m0 +. (j1 -. j0) -. (p1 -. p0)
+
+(* The canonical route must not build the tree: a 4096-transition
+   batch allocates at most half the words of parse, handle, render. *)
+let test_canonical_allocation () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let model =
+    Powermodel.Model.build ~max_size:8 (Circuits.Adder.circuit ~bits:4)
+  in
+  let meta =
+    ok_or_fail "save"
+      (Store.save ~path:(Filename.concat dir "c.cfpm") model)
+  in
+  let inputs = meta.Store.inputs in
+  let rng = Random.State.make [| 7 |] in
+  let bits () =
+    String.init inputs (fun _ -> if Random.State.bool rng then '1' else '0')
+  in
+  let text =
+    Json.to_string ~pretty:false
+      (Json.Obj
+         [
+           ("id", Json.Int 1);
+           ("op", Json.String "eval_batch");
+           ("model", Json.String "c.cfpm");
+           ( "transitions",
+             Json.List
+               (List.init 4096 (fun _ ->
+                    Json.List [ Json.String (bits ()); Json.String (bits ()) ]))
+           );
+         ])
+  in
+  let h = Serve.Handler.create ~jobs:1 (Serve.Cache.create ~root:dir ()) in
+  let generic () =
+    Serve.Protocol.render
+      (Serve.Handler.handle h (Result.get_ok (Json.of_string text)))
+  in
+  let canonical () = Serve.Handler.handle_string h text in
+  (* warm: the load and the leaf strings belong to no request *)
+  Alcotest.(check string) "same answer" (generic ()) (canonical ());
+  let g = allocated generic and c = allocated canonical in
+  if c > g /. 2.0 then
+    Alcotest.failf "canonical route allocated %.0f words, generic %.0f" c g
 
 let suite =
   [
@@ -1023,4 +1274,10 @@ let suite =
       `Quick test_tcp_round_trips;
     Util.qtest ~count:40 "eval_batch answers match the reference route"
       batch_case eval_batch_matches_reference;
+    Alcotest.test_case "canonical and pretty frames count and fault alike"
+      `Quick test_route_parity;
+    Alcotest.test_case "a canonical batch meets a spent deadline" `Quick
+      test_canonical_deadline;
+    Alcotest.test_case "a canonical batch allocates no request tree" `Quick
+      test_canonical_allocation;
   ]
